@@ -35,7 +35,7 @@ struct TextSink {
  * One live instruction's mode-invariant fields. Deliberately omitted:
  * uid and depStoreUid (allocation-order artifacts), iqPos (queue slot
  * assignment), physical register numbers (free-list order), scheduler
- * links (event-mode only).
+ * links (wakeup bookkeeping).
  */
 template <typename Sink>
 void

@@ -636,6 +636,24 @@ verifyCommand(const std::vector<std::string> &args)
         vopt.digestWindow = opt.cfg.digestWindow;
     vopt.base.digestWindow = 0; // per-leg windows are set by the driver
 
+    // Digests are compared only at whole-window boundaries; a grid with
+    // no boundary compares nothing, and a mutation after the last one
+    // cannot be observed.
+    const Cycle measure = vopt.base.measureCycles;
+    const Cycle window = vopt.digestWindow;
+    if (measure < window)
+        fatal("verify: --measure %llu is shorter than the digest window "
+              "%llu; no digest boundary would be compared",
+              static_cast<unsigned long long>(measure),
+              static_cast<unsigned long long>(window));
+    const Cycle last_boundary = measure / window * window;
+    if (vopt.mutateAt && vopt.mutateAt >= last_boundary)
+        fatal("verify: --mutate-at %llu is not before the last digest "
+              "boundary (cycle %llu of the measured window); the "
+              "mutation could not be observed",
+              static_cast<unsigned long long>(vopt.mutateAt),
+              static_cast<unsigned long long>(last_boundary));
+
     std::printf("verify: workload %s under %s (%llu measured cycles, "
                 "digest window %llu%s)\n",
                 opt.workloadList.c_str(), opt.policyName.c_str(),

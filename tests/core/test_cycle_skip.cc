@@ -4,16 +4,14 @@
  * "Cycle skipping & quiescence invariants").
  *
  * Fast-forwarding over provably idle cycles must be *bit-identical* to
- * ticking through them — the same contract the event-driven scheduler
- * refactor established. Pinned here:
+ * ticking through them. Pinned here:
  *
  *  - full serialized SimResult equality, skip vs ticked, across every
  *    scheduling policy (the MIX2 pair exercises runahead, flush and
  *    resource-control paths);
- *  - the full 2x2 mode grid (scheduler mode x skip mode) on a
- *    memory-bound pair under RaT, including the SchedCounters work
- *    accounting (the broadcast reference's per-cycle rescan visits are
- *    integrated analytically over skipped spans);
+ *  - skip vs ticked on a memory-bound pair under RaT, including the
+ *    SchedCounters work accounting (a skipped span does no scheduler
+ *    work, exactly like the idle ticks it replaces);
  *  - skipped-span occupancy integration: the sampleCycle() accumulators
  *    (mode cycles and register-occupancy products) match the ticked
  *    values exactly while a large fraction of cycles is skipped;
@@ -39,7 +37,7 @@ namespace rat::sim {
 namespace {
 
 SimConfig
-skipConfig(core::PolicyKind kind, bool skip, bool broadcast = false)
+skipConfig(core::PolicyKind kind, bool skip)
 {
     SimConfig cfg;
     cfg.prewarmInsts = 100000;
@@ -47,7 +45,6 @@ skipConfig(core::PolicyKind kind, bool skip, bool broadcast = false)
     cfg.measureCycles = 10000;
     cfg.core.policy = kind;
     cfg.core.cycleSkipping = skip;
-    cfg.core.broadcastScheduler = broadcast;
     return cfg;
 }
 
@@ -73,35 +70,24 @@ TEST(CycleSkip, SkipMatchesTickedAcrossPolicies)
     }
 }
 
-TEST(CycleSkip, TwoByTwoModeGridIdentical)
+TEST(CycleSkip, SkipMatchesTickedWorkCounters)
 {
-    // Scheduler mode x skip mode on a memory-bound RaT pair: all four
-    // cells must serialize identically, and within each scheduler mode
-    // the hot-path work counters must match ticked execution exactly
-    // (skipped spans integrate the broadcast rescan analytically).
+    // Skip vs tick on a memory-bound RaT pair: both must serialize
+    // identically, and the hot-path work counters must match ticked
+    // execution exactly.
     const std::vector<std::string> programs = {"art", "mcf"};
-    std::string reference;
-    for (const bool broadcast : {false, true}) {
-        core::SmtCore::SchedCounters counters[2];
-        for (const bool skip : {false, true}) {
-            SCOPED_TRACE(std::string(broadcast ? "bcast" : "event") +
-                         (skip ? "+skip" : "+tick"));
-            Simulator sim(skipConfig(core::PolicyKind::Rat, skip,
-                                     broadcast),
-                          programs);
-            const std::string json = report::toJson(sim.run()).dump(2);
-            counters[skip] = sim.smtCore().schedCounters();
-            if (reference.empty())
-                reference = json;
-            else
-                EXPECT_EQ(json, reference);
-        }
-        EXPECT_EQ(counters[0].regWakeVisits, counters[1].regWakeVisits);
-        EXPECT_EQ(counters[0].storeWakeVisits,
-                  counters[1].storeWakeVisits);
-        EXPECT_EQ(counters[0].readySelectVisits,
-                  counters[1].readySelectVisits);
+    std::string json[2];
+    core::SmtCore::SchedCounters counters[2];
+    for (const bool skip : {false, true}) {
+        Simulator sim(skipConfig(core::PolicyKind::Rat, skip), programs);
+        json[skip] = report::toJson(sim.run()).dump(2);
+        counters[skip] = sim.smtCore().schedCounters();
     }
+    EXPECT_EQ(json[0], json[1]);
+    EXPECT_EQ(counters[0].regWakeVisits, counters[1].regWakeVisits);
+    EXPECT_EQ(counters[0].storeWakeVisits, counters[1].storeWakeVisits);
+    EXPECT_EQ(counters[0].readySelectVisits,
+              counters[1].readySelectVisits);
 }
 
 TEST(CycleSkip, OccupancyIntegrationMatchesTicked)

@@ -1,21 +1,15 @@
 /**
  * @file
- * Event-driven scheduler vs broadcast reference (DESIGN.md,
- * "Event-driven wakeup").
+ * Event-driven scheduler work bounds (DESIGN.md, "Event-driven
+ * wakeup").
  *
- * The event-driven waiter lists, store-dependent chains and the
- * incremental ready queue must be *bit-identical* in results to the
- * original broadcast scans they replaced — and do asymptotically less
- * work. Both properties are pinned here:
- *
- *  - full serialized SimResult equality across every scheduling policy,
- *    including the squash-heavy FLUSH policy (constant flush-and-rewind
- *    exercises the unlink-before-release invariant of every intrusive
- *    list) and RaT with the runahead cache enabled (INV fold cascades
- *    through registers, stores and the runahead cache);
- *  - SchedCounters visit bounds: event-mode wakeups touch only actual
- *    dependence edges (<= kMaxSrcs per renamed instruction), while the
- *    broadcast mode pays a full issue-queue scan per event.
+ * The waiter lists, store-dependent chains and incremental ready queue
+ * must do work proportional to actual dependence edges, never to the
+ * issue-queue size. The SchedCounters pin that: event-mode wakeups
+ * touch at most kMaxSrcs register edges and one store edge per renamed
+ * instruction. That the scheduler is bit-identical to the seed's
+ * broadcast scans it replaced is pinned by the golden_mix2 captures
+ * (tests/sim/test_determinism.cc).
  */
 
 #include <string>
@@ -24,89 +18,21 @@
 #include <gtest/gtest.h>
 
 #include "core/dyninst.hh"
-#include "policy/factory.hh"
-#include "report/serialize.hh"
 #include "sim/simulator.hh"
 
 namespace rat::sim {
 namespace {
 
-SimConfig
-smallConfig(core::PolicyKind kind, bool broadcast)
+TEST(SchedEquivalence, WakeupVisitsBoundedByActualDependents)
 {
     SimConfig cfg;
     cfg.prewarmInsts = 100000;
     cfg.warmupCycles = 5000;
     cfg.measureCycles = 10000;
-    cfg.core.policy = kind;
-    cfg.core.broadcastScheduler = broadcast;
-    return cfg;
-}
-
-std::string
-resultJson(const SimConfig &cfg, const std::vector<std::string> &programs)
-{
-    Simulator sim(cfg, programs);
-    return report::toJson(sim.run()).dump(2);
-}
-
-TEST(SchedEquivalence, EventMatchesBroadcastAcrossPolicies)
-{
-    const std::vector<std::string> programs = {"art", "gzip"};
-    for (const std::string &name : policy::policyKindNames()) {
-        SCOPED_TRACE(name);
-        const auto kind = policy::parsePolicyKind(name);
-        ASSERT_TRUE(kind.has_value());
-        const std::string event =
-            resultJson(smallConfig(*kind, false), programs);
-        const std::string broadcast =
-            resultJson(smallConfig(*kind, true), programs);
-        EXPECT_EQ(event, broadcast);
-    }
-}
-
-TEST(SchedEquivalence, FlushSquashHeavyFourThreadsMatch)
-{
-    // FLUSH squashes a thread's whole in-flight window on every
-    // detected L2 miss; four memory-bound threads make that constant.
-    // This is the waiter-list stress: every squash must unlink cleanly.
-    const std::vector<std::string> programs = {"art", "mcf", "swim",
-                                               "twolf"};
-    const std::string event =
-        resultJson(smallConfig(core::PolicyKind::Flush, false), programs);
-    const std::string broadcast =
-        resultJson(smallConfig(core::PolicyKind::Flush, true), programs);
-    EXPECT_EQ(event, broadcast);
-}
-
-TEST(SchedEquivalence, RunaheadCacheFoldCascadesMatch)
-{
-    // RaT with the runahead cache enabled: INV propagates through
-    // registers, store-dependent chains and pseudo-retired stores.
-    const std::vector<std::string> programs = {"art", "mcf"};
-    SimConfig event_cfg = smallConfig(core::PolicyKind::Rat, false);
-    event_cfg.core.rat.useRunaheadCache = true;
-    SimConfig bcast_cfg = smallConfig(core::PolicyKind::Rat, true);
-    bcast_cfg.core.rat.useRunaheadCache = true;
-    EXPECT_EQ(resultJson(event_cfg, programs),
-              resultJson(bcast_cfg, programs));
-}
-
-TEST(SchedEquivalence, WakeupVisitsBoundedByActualDependents)
-{
-    const std::vector<std::string> programs = {"art", "mcf"};
-
-    Simulator event_sim(smallConfig(core::PolicyKind::Rat, false),
-                        programs);
-    const SimResult event_res = event_sim.run();
-    const auto &ec = event_sim.smtCore().schedCounters();
-
-    Simulator bcast_sim(smallConfig(core::PolicyKind::Rat, true),
-                        programs);
-    const SimResult bcast_res = bcast_sim.run();
-    const auto &bc = bcast_sim.smtCore().schedCounters();
-
-    ASSERT_EQ(report::toJson(event_res).dump(), report::toJson(bcast_res).dump());
+    cfg.core.policy = core::PolicyKind::Rat;
+    Simulator sim(cfg, {"art", "mcf"});
+    const SimResult res = sim.run();
+    const auto &counters = sim.smtCore().schedCounters();
 
     // Every instruction entering an issue queue registers at most
     // kMaxSrcs waiter nodes and one store dependence, and each node is
@@ -114,18 +40,12 @@ TEST(SchedEquivalence, WakeupVisitsBoundedByActualDependents)
     // dispatched count from above (measured window only; the counters
     // reset together with the stats).
     std::uint64_t fetched = 0;
-    for (const ThreadResult &t : event_res.threads)
+    for (const ThreadResult &t : res.threads)
         fetched += t.core.fetchedInsts;
     ASSERT_GT(fetched, 0u);
-    EXPECT_LE(ec.regWakeVisits, fetched * core::DynInst::kMaxSrcs);
-    EXPECT_LE(ec.storeWakeVisits, fetched);
-
-    // The broadcast scans pay the full issue-queue width per event;
-    // with 64-entry queues the event scheduler must be far below it.
-    // (No fixed ratio for readySelect: that one is O(ready) vs O(IQ).)
-    EXPECT_LT(ec.regWakeVisits * 10, bc.regWakeVisits);
-    EXPECT_LT(ec.storeWakeVisits * 10, bc.storeWakeVisits);
-    EXPECT_LT(ec.readySelectVisits, bc.readySelectVisits);
+    ASSERT_GT(counters.regWakeVisits, 0u); // the bounds are not vacuous
+    EXPECT_LE(counters.regWakeVisits, fetched * core::DynInst::kMaxSrcs);
+    EXPECT_LE(counters.storeWakeVisits, fetched);
 }
 
 } // namespace

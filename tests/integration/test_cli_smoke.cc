@@ -276,6 +276,36 @@ TEST(CliSmoke, FarmWorkerModeRequiresItsPrivateProtocol)
     EXPECT_EQ(r.exitCode, 0) << r.output;
 }
 
+TEST(CliSmoke, VerifyRejectsMeasureShorterThanDigestWindow)
+{
+    // No digest boundary falls inside 200 cycles: the grid would
+    // compare zero samples and read as consistent.
+    const CliResult r = runCli("verify --workload art,gzip --policy ICOUNT "
+                               "--measure 200 --digest-window 256");
+    EXPECT_NE(r.exitCode, 0);
+    EXPECT_NE(r.output.find("shorter than the digest window"),
+              std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("mode grid consistent"), std::string::npos)
+        << r.output;
+}
+
+TEST(CliSmoke, VerifyRejectsMutationPastLastDigestBoundary)
+{
+    // The last boundary of a 4000-cycle window at 256 is 3840; a flip
+    // at 3990 is never sampled, which must not read as a digest bug.
+    const CliResult r = runCli("verify --workload art,gzip --policy ICOUNT "
+                               "--measure 4000 --digest-window 256 "
+                               "--mutate-at 3990");
+    EXPECT_NE(r.exitCode, 0);
+    EXPECT_NE(r.output.find("not before the last digest boundary "
+                            "(cycle 3840"),
+              std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("was NOT detected"), std::string::npos)
+        << r.output;
+}
+
 TEST(CliSmoke, UnknownSubcommandFailsWithDiagnostic)
 {
     const CliResult r = runCli("frobnicate");

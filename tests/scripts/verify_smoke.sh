@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Verify smoke test: `ratsim verify` on the MIX2 pair under RaT must
-# find the full host-side mode grid (cycle-skip x scheduler x
-# ra-variant, plus the save/restore leg) digest-identical — and, with a
-# deliberately seeded single-flip mutation, must detect the divergence
-# and bisect it to an exact first divergent cycle.
+# find the full host-side mode grid digest-identical — 3 ra-variants x
+# {noskip+event, save-restore} legs against the skip+event reference,
+# so exactly 6 legs; a grid that shrinks silently fails here — and,
+# with a deliberately seeded single-flip mutation, must detect the
+# divergence and bisect it to an exact first divergent cycle.
 #
 # Usage: verify_smoke.sh /path/to/ratsim
 set -u
@@ -20,8 +21,8 @@ OPTS=(--workload art,gzip --policy RaT
 echo "== clean mode-grid verify (must pass) =="
 "$RATSIM" verify "${OPTS[@]}" > "$WORK/clean.log" 2>&1 \
     || fail "clean verify exited non-zero: $(cat "$WORK/clean.log")"
-grep -q "verify: mode grid consistent" "$WORK/clean.log" \
-    || fail "missing consistency verdict: $(cat "$WORK/clean.log")"
+grep -q "verify: mode grid consistent (6 legs" "$WORK/clean.log" \
+    || fail "missing 6-leg consistency verdict: $(cat "$WORK/clean.log")"
 
 echo "== seeded-mutation verify (must fail with a bisected cycle) =="
 "$RATSIM" verify "${OPTS[@]}" --mutate-at 1500 \

@@ -2,15 +2,24 @@
  * @file
  * Whole-result determinism pins for every scheduling policy.
  *
- * Each policy runs the same MIX2 workload (art,gzip — one memory-bound
- * and one ILP-bound thread, so runahead, flush and resource-control
- * paths all trigger) twice, and the *full* serialized SimResult JSON
- * must be byte-identical between the runs and byte-identical to the
- * golden files committed under tests/data/golden_mix2/. The goldens
- * were captured from the pre-event-driven broadcast scheduler, so this
- * test is the proof that the event-driven wakeup refactor (see
- * DESIGN.md "Event-driven wakeup") changed the simulator's speed and
- * nothing else.
+ * Each row runs a fixed workload and technique twice, and the *full*
+ * serialized SimResult JSON must be byte-identical between the runs
+ * and byte-identical to its golden file under tests/data/golden_mix2/.
+ * The nine policy rows run the same MIX2 workload (art,gzip — one
+ * memory-bound and one ILP-bound thread, so runahead, flush and
+ * resource-control paths all trigger). Two stress rows follow:
+ *
+ *  - FLUSH on four memory-bound threads (art,mcf,swim,twolf): constant
+ *    flush-and-rewind squashes, the waiter-list unlink stress;
+ *  - RaT with the runahead cache on art,mcf: INV folds cascade through
+ *    registers, store-dependent chains and pseudo-retired stores.
+ *
+ * These goldens are the seed broadcast scheduler's semantics as data:
+ * the nine policy rows were captured from it before the event-driven
+ * refactor (DESIGN.md "Event-driven wakeup"), and the two stress rows
+ * were captured where the event-driven scheduler was still proven
+ * byte-identical to it. Matching them proves the one remaining
+ * scheduler wakes, folds and forwards exactly as the seed did.
  *
  * Re-capture (only for an *intentional* semantic change; explain it in
  * the same commit):
@@ -22,6 +31,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -33,16 +43,44 @@
 namespace rat::sim {
 namespace {
 
-/** All nine techniques, in PolicyKind order. */
-const std::vector<core::PolicyKind> kAllPolicies = {
-    core::PolicyKind::RoundRobin, core::PolicyKind::Icount,
-    core::PolicyKind::Stall,      core::PolicyKind::Flush,
-    core::PolicyKind::Dcra,       core::PolicyKind::HillClimbing,
-    core::PolicyKind::Rat,        core::PolicyKind::RatDcra,
-    core::PolicyKind::MlpAware,
+/** One golden row: workload, technique and golden file stem. */
+struct GoldenRow {
+    std::string file;
+    std::vector<std::string> programs;
+    core::PolicyKind policy;
+    bool runaheadCache = false;
 };
 
-/** Short windows keep 9 policies x 2 runs affordable in CI. */
+/** A MIX2 (art,gzip) row for one policy; '+' is not a file char. */
+GoldenRow
+mix2Row(core::PolicyKind kind)
+{
+    std::string file = policy::policyKindName(kind);
+    for (char &c : file) {
+        if (c == '+')
+            c = '_';
+    }
+    return {file, {"art", "gzip"}, kind};
+}
+
+/** All nine techniques in PolicyKind order, then the stress rows. */
+const std::vector<GoldenRow> kRows = {
+    mix2Row(core::PolicyKind::RoundRobin),
+    mix2Row(core::PolicyKind::Icount),
+    mix2Row(core::PolicyKind::Stall),
+    mix2Row(core::PolicyKind::Flush),
+    mix2Row(core::PolicyKind::Dcra),
+    mix2Row(core::PolicyKind::HillClimbing),
+    mix2Row(core::PolicyKind::Rat),
+    mix2Row(core::PolicyKind::RatDcra),
+    mix2Row(core::PolicyKind::MlpAware),
+    {"FLUSH_art_mcf_swim_twolf",
+     {"art", "mcf", "swim", "twolf"},
+     core::PolicyKind::Flush},
+    {"RaT_racache_art_mcf", {"art", "mcf"}, core::PolicyKind::Rat, true},
+};
+
+/** Short windows keep every row x 2 runs affordable in CI. */
 SimConfig
 determinismConfig()
 {
@@ -54,26 +92,16 @@ determinismConfig()
 }
 
 std::string
-runMix2Json(core::PolicyKind kind)
+runRowJson(const GoldenRow &row)
 {
     ExperimentRunner runner(determinismConfig());
-    const Workload w = Workload::fromPrograms({"art", "gzip"});
+    const Workload w = Workload::fromPrograms(row.programs);
     TechniqueSpec tech;
-    tech.label = policy::policyKindName(kind);
-    tech.policy = kind;
+    tech.label = policy::policyKindName(row.policy);
+    tech.policy = row.policy;
+    tech.rat.useRunaheadCache = row.runaheadCache;
     const SimResult r = runner.runWorkload(w, tech);
     return report::toJson(r).dump(2) + "\n";
-}
-
-std::string
-goldenPath(core::PolicyKind kind, const char *dir)
-{
-    std::string name = policy::policyKindName(kind);
-    for (char &c : name) {
-        if (c == '+')
-            c = '_';
-    }
-    return std::string(dir) + "/" + name + ".json";
 }
 
 std::string
@@ -90,12 +118,13 @@ slurp(const std::string &path)
 TEST(Determinism, EveryPolicyMix2ByteIdenticalToGolden)
 {
     const char *capture = std::getenv("RATSIM_CAPTURE_GOLDEN_DIR");
-    for (const core::PolicyKind kind : kAllPolicies) {
-        SCOPED_TRACE(policy::policyKindName(kind));
-        const std::string first = runMix2Json(kind);
+    for (const GoldenRow &row : kRows) {
+        SCOPED_TRACE(row.file);
+        const std::string first = runRowJson(row);
 
         if (capture) {
-            const std::string path = goldenPath(kind, capture);
+            const std::string path =
+                std::string(capture) + "/" + row.file + ".json";
             std::ofstream out(path, std::ios::binary);
             ASSERT_TRUE(out.is_open()) << "cannot write " << path;
             out << first;
@@ -104,13 +133,11 @@ TEST(Determinism, EveryPolicyMix2ByteIdenticalToGolden)
 
         // Run-to-run determinism: a fresh simulator must reproduce the
         // full result byte-for-byte.
-        const std::string second = runMix2Json(kind);
+        const std::string second = runRowJson(row);
         EXPECT_EQ(first, second);
 
-        // Pre-refactor golden: the committed broadcast-scheduler
-        // capture must match exactly.
         const std::string path =
-            goldenPath(kind, RATSIM_TEST_DATA_DIR "/golden_mix2");
+            RATSIM_TEST_DATA_DIR "/golden_mix2/" + row.file + ".json";
         const std::string golden = slurp(path);
         ASSERT_FALSE(golden.empty()) << "missing golden " << path;
         EXPECT_EQ(first, golden) << "drift against " << path;
