@@ -69,6 +69,13 @@ class DirLock
     int fd_;
 };
 
+/** The directories holding temps: @p dir and its checkpoint subdir. */
+std::vector<std::string>
+tmpDirsOf(const std::string &dir)
+{
+    return {dir, (std::filesystem::path(dir) / kCheckpointSubdir).string()};
+}
+
 } // namespace
 
 std::uint64_t
@@ -88,27 +95,37 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
         gcStaleFiles();
 }
 
+std::string
+tmpPathFor(const std::string &path)
+{
+    static std::atomic<std::uint64_t> tmpSeq{0};
+    return path + "." + std::to_string(::getpid()) + "." +
+           std::to_string(tmpSeq.fetch_add(1)) + ".tmp";
+}
+
 void
 ResultCache::gcStaleFiles()
 {
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir_, ec);
-    if (ec)
-        return; // directory does not exist yet — nothing to reap
     const auto now = std::filesystem::file_time_type::clock::now();
     const DirLock lock(dir_);
-    for (const auto &entry : it) {
-        if (!entry.is_regular_file(ec))
-            continue;
-        const auto ext = entry.path().extension();
-        const bool tmp = ext == ".tmp";
-        if (!tmp && ext != ".bad")
-            continue;
-        const auto mtime = entry.last_write_time(ec);
-        if (ec || now - mtime < kStaleFileAge)
-            continue;
-        if (std::filesystem::remove(entry.path(), ec) && !ec)
-            ++(tmp ? reapedTmp_ : reapedBad_);
+    for (const std::string &dir : tmpDirsOf(dir_)) {
+        std::error_code ec;
+        std::filesystem::directory_iterator it(dir, ec);
+        if (ec)
+            continue; // directory does not exist yet — nothing to reap
+        for (const auto &entry : it) {
+            if (!entry.is_regular_file(ec))
+                continue;
+            const auto ext = entry.path().extension();
+            const bool tmp = ext == ".tmp";
+            if (!tmp && ext != ".bad")
+                continue;
+            const auto mtime = entry.last_write_time(ec);
+            if (ec || now - mtime < kStaleFileAge)
+                continue;
+            if (std::filesystem::remove(entry.path(), ec) && !ec)
+                ++(tmp ? reapedTmp_ : reapedBad_);
+        }
     }
 }
 
@@ -117,25 +134,25 @@ ResultCache::removeTmpFilesOfPid(long pid) const
 {
     if (!enabled())
         return 0;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir_, ec);
-    if (ec)
-        return 0;
-    // Temp names are <hash>.json.<pid>.<seq>.tmp (see store()); match
-    // the pid field exactly so a seq number that happens to equal
-    // another worker's pid cannot cause a cross-worker unlink.
-    const std::string marker = ".json." + std::to_string(pid) + ".";
+    // Temp names are <name>.<pid>.<seq>.tmp (tmpPathFor); match the pid
+    // field exactly so a seq number that happens to equal another
+    // worker's pid cannot cause a cross-worker unlink.
+    const std::string pidField = "." + std::to_string(pid);
     std::uint64_t removed = 0;
     const DirLock lock(dir_);
-    for (const auto &entry : it) {
-        if (!entry.is_regular_file(ec) ||
-            entry.path().extension() != ".tmp")
+    for (const std::string &dir : tmpDirsOf(dir_)) {
+        std::error_code ec;
+        std::filesystem::directory_iterator it(dir, ec);
+        if (ec)
             continue;
-        if (entry.path().filename().string().find(marker) ==
-            std::string::npos)
-            continue;
-        if (std::filesystem::remove(entry.path(), ec) && !ec)
-            ++removed;
+        for (const auto &entry : it) {
+            const std::filesystem::path name = entry.path().filename();
+            if (!entry.is_regular_file(ec) || name.extension() != ".tmp" ||
+                name.stem().stem().extension() != pidField)
+                continue;
+            if (std::filesystem::remove(entry.path(), ec) && !ec)
+                ++removed;
+        }
     }
     return removed;
 }
@@ -298,10 +315,7 @@ ResultCache::store(const std::string &key,
     // farm worker processes — storing the same key never interleave
     // bytes into one temp file. rename() is atomic, so readers only
     // ever see complete cells.
-    static std::atomic<std::uint64_t> tmpSeq{0};
-    const std::filesystem::path tmp =
-        path.string() + "." + std::to_string(::getpid()) + "." +
-        std::to_string(tmpSeq.fetch_add(1)) + ".tmp";
+    const std::filesystem::path tmp = tmpPathFor(path.string());
     {
         std::ofstream out(tmp);
         if (!out) {

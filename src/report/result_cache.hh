@@ -47,6 +47,21 @@ namespace rat::report {
 /** 64-bit FNV-1a over a byte string. */
 std::uint64_t fnv1a64(const std::string &text);
 
+/**
+ * Subdirectory of a cache directory holding the shared post-prewarm
+ * "ratck2" checkpoints (sim/checkpoint.hh, sim::checkpointDirFor).
+ */
+inline constexpr const char *kCheckpointSubdir = "ckpt";
+
+/**
+ * Temp name a writer publishing @p path streams into:
+ * `<path>.<pid>.<seq>.tmp`, unique per (process, call), so concurrent
+ * writers of one file — threads or farm workers — never share a temp.
+ * Cell stores and checkpoint writes both use it; the open-time GC and
+ * removeTmpFilesOfPid parse the pid field back out.
+ */
+std::string tmpPathFor(const std::string &path);
+
 /** Point-in-time counters of one cache instance. */
 struct CacheStats {
     std::uint64_t hits = 0;
@@ -63,10 +78,11 @@ class ResultCache
     /**
      * @param dir Cache directory; an empty string disables caching.
      * Opening an existing directory garbage-collects stale `*.tmp`
-     * files left behind by killed writers and `*.bad` quarantine
-     * files whose post-mortem window has passed (both age-gated, so
-     * temps of concurrently live writers — and freshly quarantined
-     * cells someone may still want to inspect — are never touched).
+     * files left behind by killed writers — in the directory and its
+     * checkpoint subdirectory — and `*.bad` quarantine files whose
+     * post-mortem window has passed (both age-gated, so temps of
+     * concurrently live writers — and freshly quarantined cells
+     * someone may still want to inspect — are never touched).
      */
     explicit ResultCache(std::string dir);
 
@@ -123,9 +139,11 @@ class ResultCache
 
     /**
      * Unlink every temp file written by process @p pid, regardless of
-     * age. Only safe once @p pid is known dead — the farm coordinator
-     * calls this for workers it just killed and reaped on SIGINT, so
-     * an interrupted campaign leaves no half-written cells behind.
+     * age — cell temps and checkpoint temps in the checkpoint
+     * subdirectory alike. Only safe once @p pid is known dead — the
+     * farm coordinator calls this for workers it just killed and
+     * reaped on SIGINT, so an interrupted campaign leaves no
+     * half-written cells behind.
      * Returns the number of files removed.
      */
     std::uint64_t removeTmpFilesOfPid(long pid) const;

@@ -6,9 +6,10 @@
 
 #include "sim/checkpoint.hh"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <type_traits>
-#include <utility>
 
 #include "check/digest.hh"
 #include "check/fnv.hh"
@@ -23,19 +24,73 @@ constexpr char kMagic[] = "ratck2";
 constexpr std::size_t kMagicLen = 6;
 
 /**
- * Encode-side IO: appends every visited value as 8 little-endian bytes
- * (matching the digest subsystem's byte discipline — independent of
- * struct padding and host endianness).
+ * Chunk size of the streamed encode/restore. The codec moves 8 bytes
+ * at a time; batching them keeps per-call stdio overhead off the
+ * ~200k values of a blob while holding only this much of it.
  */
+constexpr std::size_t kStreamChunk = std::size_t{1} << 15;
+
+/** Byte sink of the in-memory encode: appends to a string. */
+struct StringSink {
+    std::string &out;
+
+    bool
+    put(const char *p, std::size_t n)
+    {
+        out.append(p, n);
+        return true;
+    }
+
+    bool flush() { return true; }
+};
+
+/** Byte sink of the streamed encode: chunked writes to a stdio stream. */
+struct FileSink {
+    std::FILE *f;
+    std::string chunk = {};
+
+    bool
+    put(const char *p, std::size_t n)
+    {
+        chunk.append(p, n);
+        return chunk.size() < kStreamChunk || flush();
+    }
+
+    bool
+    flush()
+    {
+        const bool ok =
+            std::fwrite(chunk.data(), 1, chunk.size(), f) == chunk.size();
+        chunk.clear();
+        return ok;
+    }
+};
+
+/**
+ * Encode-side IO: writes every visited value as 8 little-endian bytes
+ * (matching the digest subsystem's byte discipline — independent of
+ * struct padding and host endianness) into @p Sink, so the in-memory
+ * and streamed encodes share every byte-producing line.
+ */
+template <typename Sink>
 struct CkptWriter {
-    std::string out;
+    Sink sink;
     bool ok = true;
+
+    void
+    bytes(const char *p, std::size_t n)
+    {
+        if (ok && !sink.put(p, n))
+            ok = false;
+    }
 
     void
     raw64(std::uint64_t v)
     {
+        char b[8];
         for (unsigned i = 0; i < 8; ++i)
-            out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+            b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+        bytes(b, sizeof(b));
     }
 
     void size(std::size_t n) { raw64(n); }
@@ -58,34 +113,93 @@ struct CkptWriter {
     blob(const std::string &s)
     {
         raw64(s.size());
-        out.append(s);
+        bytes(s.data(), s.size());
     }
 
     void fail() { ok = false; }
 };
 
-/**
- * Decode-side IO: the exact mirror of CkptWriter. Any structural
- * mismatch — truncation, a size() marker that disagrees with the
- * target's geometry, an explicit fail() — clears `ok`; subsequent
- * reads are no-ops so the caller checks once at the end.
- */
-struct CkptReader {
+/** Byte source of the in-memory restore: reads a string. */
+struct StringSource {
     const std::string &in;
     std::size_t pos = 0;
+
+    bool
+    get(char *p, std::size_t n)
+    {
+        if (n > in.size() - pos)
+            return false;
+        std::memcpy(p, in.data() + pos, n);
+        pos += n;
+        return true;
+    }
+
+    bool atEnd() const { return pos == in.size(); }
+};
+
+/** Byte source of the streamed restore: chunked reads of a stdio stream. */
+struct FileSource {
+    std::FILE *f;
+    std::string chunk = {};
+    std::size_t pos = 0;
+
+    bool
+    get(char *p, std::size_t n)
+    {
+        while (n > 0) {
+            if (pos == chunk.size() && !refill())
+                return false;
+            const std::size_t k = std::min(n, chunk.size() - pos);
+            std::memcpy(p, chunk.data() + pos, k);
+            pos += k;
+            p += k;
+            n -= k;
+        }
+        return true;
+    }
+
+    bool atEnd() { return pos == chunk.size() && !refill(); }
+
+  private:
+    bool
+    refill()
+    {
+        chunk.resize(kStreamChunk);
+        chunk.resize(std::fread(chunk.data(), 1, kStreamChunk, f));
+        pos = 0;
+        return !chunk.empty();
+    }
+};
+
+/**
+ * Decode-side IO: the exact mirror of CkptWriter, reading from
+ * @p Source. Any structural mismatch — truncation, a size() marker
+ * that disagrees with the target's geometry, an explicit fail() —
+ * clears `ok`; subsequent reads are no-ops so the caller checks once
+ * at the end.
+ */
+template <typename Source>
+struct CkptReader {
+    Source src;
     bool ok = true;
+
+    bool
+    bytes(char *p, std::size_t n)
+    {
+        if (ok && !src.get(p, n))
+            ok = false;
+        return ok;
+    }
 
     bool
     raw64(std::uint64_t &v)
     {
         v = 0;
-        if (!ok || pos + 8 > in.size()) {
-            ok = false;
+        char b[8];
+        if (!bytes(b, sizeof(b)))
             return false;
-        }
         for (unsigned i = 0; i < 8; ++i)
-            v |= std::uint64_t(std::uint8_t(in[pos + i])) << (8 * i);
-        pos += 8;
+            v |= std::uint64_t(std::uint8_t(b[i])) << (8 * i);
         return true;
     }
 
@@ -118,12 +232,18 @@ struct CkptReader {
         std::uint64_t n;
         if (!raw64(n))
             return;
-        if (pos + n > in.size()) {
-            ok = false;
-            return;
+        // Chunked, so a corrupt length fails at the end of the input
+        // instead of allocating n bytes up front.
+        s.clear();
+        char chunk[4096];
+        while (n > 0) {
+            const std::size_t k = static_cast<std::size_t>(
+                std::min<std::uint64_t>(n, sizeof(chunk)));
+            if (!bytes(chunk, k))
+                return;
+            s.append(chunk, k);
+            n -= k;
         }
-        s.assign(in, pos, static_cast<std::size_t>(n));
-        pos += static_cast<std::size_t>(n);
     }
 
     void fail() { ok = false; }
@@ -173,38 +293,54 @@ pipelineEmpty(const core::SmtCore &core, const mem::MemoryHierarchy &mem)
 
 } // namespace
 
-std::string
-CheckpointCodec::encode(Simulator &sim)
+template <typename Sink>
+bool
+CheckpointCodec::encodeInto(Simulator &sim, Sink sink)
 {
     core::SmtCore &core = sim.smtCore();
     mem::MemoryHierarchy &mem = sim.memory();
     if (!pipelineEmpty(core, mem))
-        return {};
+        return false;
 
-    CkptWriter w;
-    w.out.assign(kMagic, kMagicLen);
+    CkptWriter<Sink> w{sink};
+    w.bytes(kMagic, kMagicLen);
     visit(w, core, mem);
     w.blob(core.raEngine_.encodeEpisodes());
     w.raw64(check::StateHasher::digest(core));
-    if (!w.ok)
+    return w.ok && w.sink.flush();
+}
+
+std::string
+CheckpointCodec::encode(Simulator &sim)
+{
+    std::string out;
+    if (!encodeInto(sim, StringSink{out}))
         return {};
-    return std::move(w.out);
+    return out;
 }
 
 bool
-CheckpointCodec::restore(Simulator &sim, const std::string &blob,
-                         std::string *error)
+CheckpointCodec::encode(Simulator &sim, std::FILE *out)
+{
+    return encodeInto(sim, FileSink{out});
+}
+
+template <typename Source>
+bool
+CheckpointCodec::restoreFrom(Simulator &sim, Source src, std::string *error)
 {
     const auto fail = [error](const char *why) {
         if (error)
             *error = why;
         return false;
     };
-    if (blob.size() < kMagicLen || blob.compare(0, kMagicLen, kMagic) != 0)
+    CkptReader<Source> r{src};
+    char magic[kMagicLen];
+    if (!r.bytes(magic, kMagicLen) ||
+        std::memcmp(magic, kMagic, kMagicLen) != 0)
         return fail("not a ratck2 checkpoint");
 
     core::SmtCore &core = sim.smtCore();
-    CkptReader r{blob, kMagicLen};
     visit(r, core, sim.memory());
     std::string episodes;
     r.blob(episodes);
@@ -212,7 +348,7 @@ CheckpointCodec::restore(Simulator &sim, const std::string &blob,
     r.raw64(want);
     if (!r.ok)
         return fail("truncated or geometry-mismatched checkpoint");
-    if (r.pos != blob.size())
+    if (!r.src.atEnd())
         return fail("trailing bytes after checkpoint");
     if (!core.raEngine_.decodeEpisodes(episodes))
         return fail("malformed episode blob");
@@ -223,6 +359,19 @@ CheckpointCodec::restore(Simulator &sim, const std::string &blob,
     if (check::StateHasher::digest(core) != want)
         return fail("state digest mismatch after restore");
     return true;
+}
+
+bool
+CheckpointCodec::restore(Simulator &sim, const std::string &blob,
+                         std::string *error)
+{
+    return restoreFrom(sim, StringSource{blob}, error);
+}
+
+bool
+CheckpointCodec::restore(Simulator &sim, std::FILE *in, std::string *error)
+{
+    return restoreFrom(sim, FileSource{in}, error);
 }
 
 std::uint64_t

@@ -1,6 +1,8 @@
 /**
  * @file
- * Architectural checkpoint codec for sampled simulation ("ratck2").
+ * Architectural checkpoint codec ("ratck2") for sampled simulation and
+ * for the post-prewarm state exact cells share through a cache
+ * directory (sim/sampled.hh, simulateCell).
  *
  * A checkpoint captures the *functional post-prewarm* state of one
  * simulation: trace positions, branch predictor, BTB, return-address
@@ -26,12 +28,19 @@
  * Format (all integers u64 little-endian):
  *   "ratck2" magic | visit(core, mem) fields | engine episode blob
  *   (length-prefixed "ratck1" text) | StateHasher digest
+ *
+ * Every encode and restore runs through one writer/reader pair
+ * parameterised on its byte sink/source: a string for the in-memory
+ * API (the sampled registry, tests) and a stdio stream for the
+ * streamed API, which moves the ~1.6 MB blob through the file in
+ * small chunks and never holds it whole.
  */
 
 #ifndef RAT_SIM_CHECKPOINT_HH
 #define RAT_SIM_CHECKPOINT_HH
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -65,6 +74,13 @@ class CheckpointCodec
     static std::string encode(Simulator &sim);
 
     /**
+     * Streamed encode: write the same bytes encode() returns to @p out.
+     * Returns false if the pipeline is not empty or a write fails;
+     * the caller closes the stream and must check that close too.
+     */
+    static bool encode(Simulator &sim, std::FILE *out);
+
+    /**
      * Restore @p blob into a freshly constructed @p sim (before its
      * first run()). Returns false — leaving no partial state the
      * caller may rely on; fall back to a fresh prewarm walk — on a
@@ -72,6 +88,13 @@ class CheckpointCodec
      * mismatch. @p error (optional) receives a diagnostic.
      */
     static bool restore(Simulator &sim, const std::string &blob,
+                        std::string *error = nullptr);
+
+    /**
+     * Streamed restore: as restore() above, reading the blob from
+     * @p in, which must end exactly where the checkpoint does.
+     */
+    static bool restore(Simulator &sim, std::FILE *in,
                         std::string *error = nullptr);
 
     /**
@@ -96,6 +119,15 @@ class CheckpointCodec
     template <typename IO>
     static void visit(IO &io, core::SmtCore &core,
                       mem::MemoryHierarchy &mem);
+
+    /** The one encode body, writing into a string or stream sink. */
+    template <typename Sink>
+    static bool encodeInto(Simulator &sim, Sink sink);
+
+    /** The one restore body, reading a string or stream source. */
+    template <typename Source>
+    static bool restoreFrom(Simulator &sim, Source src,
+                            std::string *error);
 };
 
 } // namespace rat::sim

@@ -1069,9 +1069,8 @@ farmWorkerMain(const std::string &cache_dir, unsigned worker_id,
             reply["error"] = report::Json("undecodable job config");
         } else {
             try {
-                // Sampled cells restore their shared checkpoints from
-                // the cache-adjacent directory; exact cells dispatch
-                // straight to a Simulator run.
+                // Sampled and exact cells share checkpoints through
+                // the cache-adjacent directory (see simulateCell).
                 const SimResult result = simulateCell(
                     config, programs, checkpointDirFor(cache_dir));
                 if (cache.enabled())

@@ -11,13 +11,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "check/fnv.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "report/result_cache.hh"
 #include "sim/checkpoint.hh"
 #include "sim/metrics.hh"
 #include "trace/generator.hh"
@@ -84,14 +87,11 @@ samplePosition(const SimConfig &cfg, const trace::PhaseSample &s)
     return cfg.prewarmInsts + InstSeq{s.windowIndex} * cfg.phaseWindow;
 }
 
-std::string
-checkpointPath(const std::string &dir, std::uint64_t key)
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "%016llx.ratck2",
-                  static_cast<unsigned long long>(key));
-    return (std::filesystem::path(dir) / name).string();
-}
+struct FileCloser {
+    void operator()(std::FILE *f) const { std::fclose(f); }
+};
+/** An owned stdio stream, closed on scope exit. */
+using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 bool
 readFileBlob(const std::string &path, std::string &blob)
@@ -102,30 +102,6 @@ readFileBlob(const std::string &path, std::string &blob)
     blob.assign(std::istreambuf_iterator<char>(in),
                 std::istreambuf_iterator<char>());
     return in.good() || in.eof();
-}
-
-/** Atomic (write-temp-then-rename) checkpoint persistence. */
-void
-writeFileBlob(const std::string &dir, const std::string &path,
-              const std::string &blob)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return;
-        out.write(blob.data(),
-                  static_cast<std::streamsize>(blob.size()));
-        if (!out.good()) {
-            std::filesystem::remove(tmp, ec);
-            return;
-        }
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec)
-        std::filesystem::remove(tmp, ec);
 }
 
 /**
@@ -185,9 +161,13 @@ ensureCheckpoints(const SimConfig &cfg,
                      (unsigned long long)pos);
                 continue;
             }
-            if (!ckptDir.empty())
-                writeFileBlob(ckptDir, checkpointPath(ckptDir, key),
-                              blob);
+            if (!ckptDir.empty()) {
+                writeCheckpointFile(
+                    ckptDir, key, [&blob](std::FILE *out) {
+                        return std::fwrite(blob.data(), 1, blob.size(),
+                                           out) == blob.size();
+                    });
+            }
             blobs.emplace(key, std::move(blob));
         }
     }
@@ -261,6 +241,53 @@ runOneSample(const SimConfig &cfg, const std::vector<std::string> &programs,
     return result;
 }
 
+/**
+ * One exact cell sharing its functional prewarm through @p ckptDir:
+ * restore the workload's post-prewarm checkpoint when a valid one is
+ * there; otherwise prewarm this cell's own simulator, persist the
+ * state for the cells after it, and run on. Either way the run starts
+ * from the same state — a restore is digest-checked against the walk
+ * that wrote the file, and a refused one falls back to the walk (which
+ * overwrites the file) — so results are bit-identical to an unshared
+ * run. Both directions stream through the file, so a ~1.6 MB blob
+ * never sits in memory.
+ */
+SimResult
+runExactCell(const SimConfig &cfg, const std::vector<std::string> &programs,
+             const std::string &ckptDir)
+{
+    if (ckptDir.empty() || cfg.prewarmInsts == 0) {
+        Simulator sim(cfg, programs);
+        return sim.run();
+    }
+    // The prewarm happens here (restore or walk), not inside run().
+    SimConfig resumed = cfg;
+    resumed.prewarmInsts = 0;
+    const std::uint64_t key =
+        CheckpointCodec::fileKey(cfg, programs, cfg.prewarmInsts);
+    const std::string path = checkpointPath(ckptDir, key);
+
+    std::optional<Simulator> sim(std::in_place, resumed, programs);
+    if (FilePtr in{std::fopen(path.c_str(), "rb")}) {
+        std::string error;
+        const bool restored =
+            CheckpointCodec::restore(*sim, in.get(), &error);
+        in.reset();
+        if (restored)
+            return sim->run();
+        warn("checkpoint %s refused (%s); falling back to a fresh "
+             "functional walk",
+             path.c_str(), error.c_str());
+        // A refused restore may leave partial state behind.
+        sim.emplace(resumed, programs);
+    }
+    sim->smtCore().prewarm(cfg.prewarmInsts);
+    writeCheckpointFile(ckptDir, key, [&sim](std::FILE *out) {
+        return CheckpointCodec::encode(*sim, out);
+    });
+    return sim->run();
+}
+
 /** Weighted relative dispersion sqrt(sum w (x - mean)^2 / W) / mean. */
 double
 weightedDispersion(const std::vector<double> &x,
@@ -327,6 +354,42 @@ constexpr std::uint64_t runahead::EngineStats::*kEngineCounters[] = {
 
 } // namespace
 
+std::string
+checkpointPath(const std::string &ckptDir, std::uint64_t key)
+{
+    char name[32];
+    std::snprintf(name, sizeof(name), "%016llx.ratck2",
+                  static_cast<unsigned long long>(key));
+    return (std::filesystem::path(ckptDir) / name).string();
+}
+
+bool
+writeCheckpointFile(const std::string &ckptDir, std::uint64_t key,
+                    const std::function<bool(std::FILE *)> &body)
+{
+    std::error_code ec;
+    std::filesystem::create_directories(ckptDir, ec);
+    const std::string path = checkpointPath(ckptDir, key);
+    // Unique per (process, call): two farm workers walking one
+    // workload never truncate each other's temp.
+    const std::string tmp = report::tmpPathFor(path);
+    FilePtr out{std::fopen(tmp.c_str(), "wb")};
+    if (!out)
+        return false;
+    const bool wrote = body(out.get());
+    // Closing flushes the stdio buffer: its result is part of the write.
+    if (std::fclose(out.release()) != 0 || !wrote) {
+        std::filesystem::remove(tmp, ec);
+        return false;
+    }
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) {
+        std::filesystem::remove(tmp, ec);
+        return false;
+    }
+    return true;
+}
+
 const trace::PhaseProfile &
 samplePlanFor(const SimConfig &cfg, const std::vector<std::string> &programs)
 {
@@ -357,7 +420,8 @@ checkpointDirFor(const std::string &cacheDir)
 {
     if (cacheDir.empty())
         return {};
-    return (std::filesystem::path(cacheDir) / "ckpt").string();
+    return (std::filesystem::path(cacheDir) / report::kCheckpointSubdir)
+        .string();
 }
 
 SimResult
@@ -517,10 +581,8 @@ SimResult
 simulateCell(const SimConfig &cfg, const std::vector<std::string> &programs,
              const std::string &ckptDir)
 {
-    if (!cfg.sampled) {
-        Simulator sim(cfg, programs);
-        return sim.run();
-    }
+    if (!cfg.sampled)
+        return runExactCell(cfg, programs, ckptDir);
 
     const trace::PhaseProfile &plan = samplePlanFor(cfg, programs);
     if (plan.samples.empty())

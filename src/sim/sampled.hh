@@ -35,6 +35,9 @@
 #ifndef RAT_SIM_SAMPLED_HH
 #define RAT_SIM_SAMPLED_HH
 
+#include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -51,15 +54,36 @@ const trace::PhaseProfile &
 samplePlanFor(const SimConfig &cfg, const std::vector<std::string> &programs);
 
 /**
- * Checkpoint directory derived from a result-cache directory ("" when
- * caching is off — checkpoints then live only in process memory).
+ * Checkpoint directory derived from a result-cache directory
+ * (`<cacheDir>/ckpt`; "" when caching is off — sampled checkpoints
+ * then live only in process memory and exact cells walk their own
+ * prewarm).
  */
 std::string checkpointDirFor(const std::string &cacheDir);
 
+/** Path of checkpoint @p key in @p ckptDir: `<key hex>.ratck2`. */
+std::string checkpointPath(const std::string &ckptDir, std::uint64_t key);
+
 /**
- * Run one simulation cell: exact mode dispatches straight to
- * Simulator::run; sampled mode runs one sample (cfg.sampleIndex >= 0)
- * or all samples merged into a whole-run extrapolation (-1).
+ * The one checkpoint-file writer (sampled registry and exact cells):
+ * @p body streams the checkpoint into a temp named by
+ * report::tmpPathFor, which is renamed over checkpointPath(@p ckptDir,
+ * @p key) only once fully written and closed. Readers therefore only
+ * ever open complete files, and concurrent writers of one key each
+ * publish whole, identical bytes. Returns true once published; on any
+ * failure the temp is removed.
+ */
+bool writeCheckpointFile(const std::string &ckptDir, std::uint64_t key,
+                         const std::function<bool(std::FILE *)> &body);
+
+/**
+ * Run one simulation cell. Exact mode with a @p ckptDir shares the
+ * functional prewarm across cells: it restores the workload's
+ * post-prewarm checkpoint, or walks the prewarm itself and persists
+ * one (results are bit-identical either way); without a directory it
+ * is a plain Simulator::run. Sampled mode runs one sample
+ * (cfg.sampleIndex >= 0) or all samples merged into a whole-run
+ * extrapolation (-1).
  */
 SimResult simulateCell(const SimConfig &cfg,
                        const std::vector<std::string> &programs,

@@ -213,11 +213,22 @@ TEST(ResultCacheFailure, StaleTmpFilesAreReapedOnOpenFreshOnesKept)
     // ...and one a live writer created moments ago.
     const fs::path fresh = dir.path / "cafef00d.json.998.0.tmp";
     std::ofstream(fresh) << "{ in-flight";
+    // The same pair of checkpoint temps in the checkpoint subdirectory.
+    const fs::path ckpt = dir.path / kCheckpointSubdir;
+    fs::create_directories(ckpt);
+    const fs::path staleCkpt = ckpt / "00000000deadbeef.ratck2.999.0.tmp";
+    std::ofstream(staleCkpt) << "ratck2 torn";
+    fs::last_write_time(staleCkpt, fs::file_time_type::clock::now() -
+                                       std::chrono::hours(2));
+    const fs::path freshCkpt = ckpt / "00000000cafef00d.ratck2.998.0.tmp";
+    std::ofstream(freshCkpt) << "ratck2 in-flight";
 
     const ResultCache cache(dir.path.string());
-    EXPECT_EQ(cache.reapedTmpFiles(), 1u);
+    EXPECT_EQ(cache.reapedTmpFiles(), 2u);
     EXPECT_FALSE(fs::exists(stale));
     EXPECT_TRUE(fs::exists(fresh)); // age-gated: never reap the living
+    EXPECT_FALSE(fs::exists(staleCkpt));
+    EXPECT_TRUE(fs::exists(freshCkpt));
 
     // Real cells are never GC candidates.
     const std::string key = sampleKey(8);
@@ -260,15 +271,26 @@ TEST(ResultCacheFailure, TmpFilesOfADeadPidAreRemovedRegardlessOfAge)
     // the dead pid (must NOT match: the pid field is position-exact).
     const fs::path other = dir.path / "deadbeef.json.998.1.tmp";
     const fs::path decoy = dir.path / "deadbeef.json.998.999.tmp";
-    for (const fs::path &p : {mine1, mine2, other, decoy})
+    // The dead worker's checkpoint temp (a ~1.6 MB walk it never
+    // published), a sibling's, and a published checkpoint.
+    const fs::path ckpt = dir.path / kCheckpointSubdir;
+    fs::create_directories(ckpt);
+    const fs::path mineCkpt = ckpt / "00000000deadbeef.ratck2.999.3.tmp";
+    const fs::path otherCkpt = ckpt / "00000000deadbeef.ratck2.998.999.tmp";
+    const fs::path published = ckpt / "00000000deadbeef.ratck2";
+    for (const fs::path &p :
+         {mine1, mine2, other, decoy, mineCkpt, otherCkpt, published})
         std::ofstream(p) << "{ in-flight";
 
     const ResultCache cache(dir.path.string());
-    EXPECT_EQ(cache.removeTmpFilesOfPid(999), 2u);
+    EXPECT_EQ(cache.removeTmpFilesOfPid(999), 3u);
     EXPECT_FALSE(fs::exists(mine1));
     EXPECT_FALSE(fs::exists(mine2));
     EXPECT_TRUE(fs::exists(other));
     EXPECT_TRUE(fs::exists(decoy));
+    EXPECT_FALSE(fs::exists(mineCkpt));
+    EXPECT_TRUE(fs::exists(otherCkpt));
+    EXPECT_TRUE(fs::exists(published));
 }
 
 TEST(ResultCacheChecksum, BitRotInsideTheResultIsCaughtAndQuarantined)

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Farm smoke test: a >=100-cell campaign run through `ratsim farm` must
 # survive a mid-campaign kill -9 of a worker, resume from the shared
-# on-disk cache simulating only the missing cells, and produce JSON and
-# CSV reports byte-identical to a single-process `ratsim sweep`.
+# on-disk cache simulating only the missing cells, share one prewarm
+# checkpoint per workload and seed, and produce JSON and CSV reports
+# byte-identical to a single-process `ratsim sweep`.
 #
 # Usage: farm_smoke.sh /path/to/ratsim
 set -u
@@ -48,6 +49,16 @@ echo "== farm run 2: resume on 3 workers =="
 grep -q "farm: 104 cells (74 simulated, 30 from cache, 0 failed stores)" \
     "$WORK/farm2.log" \
     || fail "resume accounting wrong: $(cat "$WORK/farm2.log")"
+
+echo "== shared prewarm checkpoints =="
+# Exact cells share one post-prewarm checkpoint per (programs, seed,
+# geometry): both policies of a workload/seed use one file, and no
+# writer leaves a temp behind.
+CKPTS=$(find "$WORK/cache/ckpt" -maxdepth 1 -name '*.ratck2' | wc -l)
+[ "$CKPTS" -eq 52 ] \
+    || fail "expected 52 checkpoints (2 workloads x 26 seeds), got $CKPTS"
+TMPS=$(find "$WORK/cache/ckpt" -maxdepth 1 -name '*.tmp' | wc -l)
+[ "$TMPS" -eq 0 ] || fail "$TMPS checkpoint temp file(s) left behind"
 
 echo "== byte-identity against the reference sweep =="
 cmp "$WORK/farm.json" "$WORK/ref.json" || fail "JSON reports differ"

@@ -16,6 +16,8 @@
  * (InjectorSubsequenceMatchesWouldFire).
  */
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -37,11 +39,17 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/**
+ * Scoped cache dir, unique per process: ctest runs these tests both
+ * one per process and inside the `chaos_suite` aggregate, possibly at
+ * the same time, and the two must not share (or delete) one cache.
+ */
 struct TempCacheDir {
     fs::path path;
 
     explicit TempCacheDir(const char *name)
-        : path(fs::path(testing::TempDir()) / name)
+        : path(fs::path(testing::TempDir()) /
+               (std::string(name) + "." + std::to_string(::getpid())))
     {
         fs::remove_all(path);
     }

@@ -4,26 +4,91 @@
  * (sim/checkpoint.hh): restore-then-run must be digest-identical to
  * run-through at every --digest-window boundary, across cycle skipping
  * and the runahead variants;
- * corrupted blobs must be refused; the file key must share checkpoints
- * across the knobs the functional walk ignores and split them on the
- * knobs it depends on.
+ * corrupted blobs must be refused, in memory and from a file alike; the
+ * file key must share checkpoints across the knobs the functional walk
+ * ignores and split them on the knobs it depends on. The sharing tests
+ * run exact campaigns through a cache directory: one checkpoint file
+ * per workload, results byte-identical to unshared runs.
  */
 
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/config.hh"
+#include "policy/factory.hh"
 #include "report/serialize.hh"
 #include "runahead/variant.hh"
+#include "sim/campaign.hh"
 #include "sim/checkpoint.hh"
+#include "sim/sampled.hh"
 #include "sim/simulator.hh"
 
 namespace rat::sim {
 namespace {
 
+namespace fs = std::filesystem;
+
 const std::vector<std::string> kMix = {"art", "mcf"};
+
+struct FileCloser {
+    void operator()(std::FILE *f) const { std::fclose(f); }
+};
+/** An owned stdio stream, closed on scope exit. */
+using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
+/** An anonymous temp file holding @p bytes, rewound for reading. */
+FilePtr
+fileHolding(const std::string &bytes)
+{
+    FilePtr f(std::tmpfile());
+    EXPECT_TRUE(f);
+    if (f) {
+        std::fwrite(bytes.data(), 1, bytes.size(), f.get());
+        std::rewind(f.get());
+    }
+    return f;
+}
+
+/** Everything in @p f, read from the start. */
+std::string
+contentsOf(std::FILE *f)
+{
+    std::rewind(f);
+    std::string out;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        out.append(buf, n);
+    return out;
+}
+
+/**
+ * Scoped temp dir under the gtest temp root, unique per process: ctest
+ * may run a test alone and inside the `sampled_suite` aggregate at the
+ * same time.
+ */
+struct TempDir {
+    fs::path path;
+
+    explicit TempDir(const char *name)
+        : path(fs::path(testing::TempDir()) /
+               (std::string(name) + "." + std::to_string(::getpid())))
+    {
+        fs::remove_all(path);
+    }
+    ~TempDir() { fs::remove_all(path); }
+    std::string str() const { return path.string(); }
+};
 
 /** Short windows with digests at every 500-cycle boundary. */
 SimConfig
@@ -124,15 +189,44 @@ TEST(Checkpoint, RefusesCorruptBlobs)
 {
     const SimConfig cfg = ckptConfig();
     const std::string good = encodeAt(cfg);
+    SimConfig restored = cfg;
+    restored.prewarmInsts = 0;
 
-    const auto refused = [&](std::string blob) {
-        SimConfig restored = cfg;
-        restored.prewarmInsts = 0;
-        Simulator sim(restored, kMix);
+    // The file leg: the streamed encode writes exactly the bytes
+    // encode() returns, and the streamed restore accepts them.
+    {
+        Simulator walker(cfg, kMix);
+        walker.smtCore().prewarm(cfg.prewarmInsts);
+        const FilePtr out(std::tmpfile());
+        ASSERT_TRUE(out);
+        ASSERT_TRUE(CheckpointCodec::encode(walker, out.get()));
+        EXPECT_EQ(contentsOf(out.get()), good);
+        std::rewind(out.get());
+        Simulator target(restored, kMix);
         std::string error;
-        const bool ok = CheckpointCodec::restore(sim, blob, &error);
-        EXPECT_FALSE(error.empty() || ok);
-        return !ok;
+        EXPECT_TRUE(CheckpointCodec::restore(target, out.get(), &error))
+            << error;
+    }
+
+    // Every corruption is refused from memory and from a file alike,
+    // with the same diagnosis.
+    const auto refused = [&](const std::string &blob) {
+        Simulator inMemory(restored, kMix);
+        std::string error;
+        const bool memoryOk =
+            CheckpointCodec::restore(inMemory, blob, &error);
+        EXPECT_FALSE(error.empty() || memoryOk);
+
+        Simulator streamed(restored, kMix);
+        const FilePtr file = fileHolding(blob);
+        if (!file)
+            return false;
+        std::string fileError;
+        const bool fileOk =
+            CheckpointCodec::restore(streamed, file.get(), &fileError);
+        EXPECT_FALSE(fileError.empty() || fileOk);
+        EXPECT_EQ(error, fileError);
+        return !memoryOk && !fileOk;
     };
 
     // Bad magic.
@@ -149,6 +243,81 @@ TEST(Checkpoint, RefusesCorruptBlobs)
     // Truncation.
     EXPECT_TRUE(refused(good.substr(0, good.size() - 9)));
     EXPECT_TRUE(refused(std::string{}));
+
+    // Trailing bytes.
+    EXPECT_TRUE(refused(good + '\0'));
+}
+
+TEST(Checkpoint, ConcurrentWritersOfOneKeyNeverPublishATornFile)
+{
+    // Two writers of one key — two farm workers walking the same
+    // workload. B opens its temp after A has written everything but
+    // before A publishes, then reads the published file mid-write. A
+    // temp name shared by the writers would let B's open truncate A's
+    // bytes, and A would rename the torn file into place.
+    const TempDir dir("ckpt_concurrent");
+    const SimConfig cfg = ckptConfig();
+    const std::string blob = encodeAt(cfg);
+    const std::uint64_t key =
+        CheckpointCodec::fileKey(cfg, kMix, cfg.prewarmInsts);
+    const std::string path = checkpointPath(dir.str(), key);
+    SimConfig restored = cfg;
+    restored.prewarmInsts = 0;
+
+    const auto writeAll = [&blob](std::FILE *out) {
+        return std::fwrite(blob.data(), 1, blob.size(), out) ==
+               blob.size();
+    };
+    const auto waitFor = [](const auto &ready) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!ready() && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        return ready();
+    };
+
+    std::atomic<bool> aWritten{false}, bOpened{false};
+    bool aOk = false, bOk = false, midWriteRestored = false;
+    std::string midWriteError;
+    std::thread a([&] {
+        aOk = writeCheckpointFile(dir.str(), key, [&](std::FILE *out) {
+            const bool ok = writeAll(out) && std::fflush(out) == 0;
+            aWritten = true;
+            return waitFor([&] { return bOpened.load(); }) && ok;
+        });
+    });
+    ASSERT_TRUE(waitFor([&] { return aWritten.load(); }));
+    std::thread b([&] {
+        bOk = writeCheckpointFile(dir.str(), key, [&](std::FILE *out) {
+            bOpened = true;
+            if (waitFor([&] { return fs::exists(path); })) {
+                Simulator reader(restored, kMix);
+                const FilePtr in(std::fopen(path.c_str(), "rb"));
+                midWriteRestored =
+                    in && CheckpointCodec::restore(reader, in.get(),
+                                                   &midWriteError);
+            }
+            return writeAll(out);
+        });
+    });
+    a.join();
+    b.join();
+    EXPECT_TRUE(aOk);
+    EXPECT_TRUE(bOk);
+    EXPECT_TRUE(midWriteRestored) << midWriteError;
+
+    // Both published whole files; one restorable file and no temp
+    // remain.
+    Simulator target(restored, kMix);
+    const FilePtr in(std::fopen(path.c_str(), "rb"));
+    ASSERT_TRUE(in);
+    EXPECT_TRUE(CheckpointCodec::restore(target, in.get()));
+    std::vector<std::string> names;
+    for (const auto &e : fs::directory_iterator(dir.path))
+        names.push_back(e.path().filename().string());
+    EXPECT_EQ(names, std::vector<std::string>{fs::path(path)
+                                                  .filename()
+                                                  .string()});
 }
 
 TEST(Checkpoint, EncodeLegalAtFastForwardPoints)
@@ -206,6 +375,122 @@ TEST(Checkpoint, IncrementalWalkEncodesIdentically)
     stepped.smtCore().prewarm(5000);
     EXPECT_EQ(CheckpointCodec::encode(oneShot),
               CheckpointCodec::encode(stepped));
+}
+
+/** Functional-walk config of the sharing campaigns (any policy). */
+SimConfig
+sharingBase()
+{
+    SimConfig cfg;
+    cfg.core.numThreads = 2;
+    cfg.prewarmInsts = 20000;
+    cfg.warmupCycles = 500;
+    cfg.measureCycles = 2000;
+    return cfg;
+}
+
+/** All nine policies x art,mcf, serial; "" = no cache (unshared). */
+CampaignSpec
+sharingSpec(const std::string &cacheDir)
+{
+    CampaignSpec spec;
+    spec.base = sharingBase();
+    for (const core::PolicyKind kind :
+         {core::PolicyKind::RoundRobin, core::PolicyKind::Icount,
+          core::PolicyKind::Stall, core::PolicyKind::Flush,
+          core::PolicyKind::Dcra, core::PolicyKind::HillClimbing,
+          core::PolicyKind::Rat, core::PolicyKind::RatDcra,
+          core::PolicyKind::MlpAware})
+        spec.techniques.push_back({policy::policyKindName(kind), kind, {}});
+    spec.workloads = {Workload::fromPrograms(kMix)};
+    spec.parallelism = 1;
+    spec.cacheDir = cacheDir;
+    return spec;
+}
+
+std::string
+reportOf(const CampaignSpec &spec)
+{
+    return campaignJson(runCampaign(spec), spec).dump();
+}
+
+/** Checkpoint file names in @p cacheDir's ckpt/, split by kind. */
+struct CkptListing {
+    std::vector<std::string> ckpts, tmps;
+};
+
+CkptListing
+listCkptDir(const std::string &cacheDir)
+{
+    CkptListing out;
+    for (const auto &e : fs::directory_iterator(checkpointDirFor(cacheDir))) {
+        const std::string ext = e.path().extension().string();
+        (ext == ".tmp" ? out.tmps : out.ckpts)
+            .push_back(e.path().filename().string());
+        EXPECT_TRUE(ext == ".tmp" || ext == ".ratck2") << e.path();
+    }
+    return out;
+}
+
+TEST(CheckpointSharing, CachedCampaignWalksOncePerWorkload)
+{
+    const std::string unshared = reportOf(sharingSpec(""));
+    const TempDir dir("ckpt_share_once");
+    const CampaignSpec spec = sharingSpec(dir.str());
+    const CampaignOutcome outcome = runCampaign(spec);
+    EXPECT_EQ(outcome.simulated, 9u);
+    EXPECT_EQ(campaignJson(outcome, spec).dump(), unshared);
+
+    const CkptListing files = listCkptDir(dir.str());
+    EXPECT_EQ(files.ckpts.size(), 1u);
+    EXPECT_TRUE(files.tmps.empty());
+}
+
+TEST(CheckpointSharing, RegisterFileAxisSplitsTheCheckpoint)
+{
+    CampaignSpec unshared = sharingSpec("");
+    unshared.regsAxis = {128, 320};
+    const TempDir dir("ckpt_share_regs");
+    CampaignSpec shared = sharingSpec(dir.str());
+    shared.regsAxis = {128, 320};
+    EXPECT_EQ(reportOf(shared), reportOf(unshared));
+
+    const CkptListing files = listCkptDir(dir.str());
+    EXPECT_EQ(files.ckpts.size(), 2u);
+    EXPECT_TRUE(files.tmps.empty());
+}
+
+TEST(CheckpointSharing, CorruptCheckpointFallsBackAndIsReplaced)
+{
+    const std::string unshared = reportOf(sharingSpec(""));
+    const TempDir dir("ckpt_share_corrupt");
+    const SimConfig base = sharingBase();
+    const std::string good = encodeAt(base);
+    const std::string ckptDir = checkpointDirFor(dir.str());
+    const std::uint64_t key =
+        CheckpointCodec::fileKey(base, kMix, base.prewarmInsts);
+
+    // A structurally whole file whose embedded digest is flipped: only
+    // the restore-time digest check can refuse it.
+    std::string bad = good;
+    bad[bad.size() - 4] ^= 0x01;
+    ASSERT_TRUE(writeCheckpointFile(ckptDir, key, [&bad](std::FILE *out) {
+        return std::fwrite(bad.data(), 1, bad.size(), out) == bad.size();
+    }));
+
+    EXPECT_EQ(reportOf(sharingSpec(dir.str())), unshared);
+
+    // The first cell's fallback walk replaced the file with a good one.
+    const FilePtr in(std::fopen(checkpointPath(ckptDir, key).c_str(), "rb"));
+    ASSERT_TRUE(in);
+    EXPECT_EQ(contentsOf(in.get()), good);
+    std::rewind(in.get());
+    SimConfig restored = base;
+    restored.prewarmInsts = 0;
+    Simulator target(restored, kMix);
+    EXPECT_TRUE(CheckpointCodec::restore(target, in.get()));
+    EXPECT_EQ(listCkptDir(dir.str()).ckpts.size(), 1u);
+    EXPECT_TRUE(listCkptDir(dir.str()).tmps.empty());
 }
 
 } // namespace
