@@ -1,16 +1,18 @@
 /**
  * @file
  * Shared plumbing for the figure/table reproduction benches: default
- * configuration with environment-variable scaling, tabular output
- * helpers that print the same rows/series the paper reports, and a
- * BenchReport collector that mirrors those tables into a structured
+ * configuration with environment-variable scaling, the one campaign
+ * each figure bench runs over its lineup, tabular output helpers that
+ * print the same rows/series the paper reports, and a BenchReport
+ * collector that mirrors those tables into a structured
  * `BENCH_<name>.json` artifact through the report layer.
  *
  * Environment knobs:
  *   RATSIM_WARMUP      warm-up cycles per run         (default 15000)
  *   RATSIM_MEASURE     measured cycles per run        (default 60000)
  *   RATSIM_PREWARM     functional warm-up insts/thread (default 1M)
- *   RATSIM_JOBS        parallel simulations           (default: hw threads)
+ *   RATSIM_JOBS        campaign parallelism: worker threads
+ *                      (CampaignSpec::parallelism, default: hw threads)
  *   RATSIM_REPORT_DIR  where BENCH_*.json artifacts go (default ".")
  */
 
@@ -26,7 +28,7 @@
 
 #include "common/parse.hh"
 #include "report/json.hh"
-#include "sim/experiment.hh"
+#include "sim/campaign.hh"
 #include "sim/metrics.hh"
 #include "sim/workloads.hh"
 
@@ -54,13 +56,41 @@ benchConfig()
     return cfg;
 }
 
-/** Apply the RATSIM_JOBS override to a runner. */
-inline void
-applyJobs(sim::ExperimentRunner &runner)
+/**
+ * One campaign over @p lineup x every Table 2 group with the bench
+ * config; RATSIM_JOBS sets its parallelism.
+ */
+inline sim::CampaignSpec
+benchCampaign(std::vector<sim::TechniqueSpec> lineup)
 {
-    const std::uint64_t jobs = envU64("RATSIM_JOBS", 0);
-    if (jobs > 0)
-        runner.setParallelism(static_cast<unsigned>(jobs));
+    sim::CampaignSpec spec;
+    spec.base = benchConfig();
+    spec.techniques = std::move(lineup);
+    spec.groups = sim::allGroups();
+    spec.parallelism = static_cast<unsigned>(envU64("RATSIM_JOBS", 0));
+    return spec;
+}
+
+/**
+ * Run @p spec and aggregate it per technique: row t holds technique t's
+ * GroupMetrics in grid order (one per group of allGroups(), times the
+ * points of any multi-value axis). Fairness means are filled only
+ * @p with_fairness, which also runs the single-thread baselines.
+ */
+inline std::vector<std::vector<sim::GroupMetrics>>
+runLineup(const sim::CampaignSpec &spec, bool with_fairness = false)
+{
+    sim::BaselineIpcMap baselines;
+    if (with_fairness)
+        baselines = sim::runBaselines(spec, sim::allPrograms());
+    std::vector<std::vector<sim::GroupMetrics>> rows;
+    for (sim::GroupMetrics &gm : sim::groupMetricsOf(
+             sim::runCampaign(spec), with_fairness ? &baselines : nullptr)) {
+        if (rows.empty() || rows.back().front().technique != gm.technique)
+            rows.emplace_back();
+        rows.back().push_back(std::move(gm));
+    }
+    return rows;
 }
 
 /** Print the standard bench banner. */

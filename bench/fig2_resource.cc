@@ -18,9 +18,6 @@ main()
            "RaT above both everywhere, biggest on MEM (~+75%/+53% vs "
            "DCRA/HillClimbing in the paper)");
 
-    sim::ExperimentRunner runner(benchConfig());
-    applyJobs(runner);
-
     const std::vector<sim::TechniqueSpec> lineup = {
         sim::icountSpec(), sim::dcraSpec(), sim::hillClimbingSpec(),
         sim::ratSpec()};
@@ -28,16 +25,16 @@ main()
     for (const auto &t : lineup)
         labels.push_back(t.label);
 
+    const auto metrics = runLineup(benchCampaign(lineup),
+                                   /*with_fairness=*/true);
     std::map<std::string, std::vector<double>> thr_rows, fair_rows;
     std::vector<std::string> group_order;
-
-    for (const sim::WorkloadGroup g : sim::allGroups()) {
-        const std::string gname = sim::groupName(g);
+    for (std::size_t g = 0; g < sim::allGroups().size(); ++g) {
+        const std::string gname = sim::groupName(sim::allGroups()[g]);
         group_order.push_back(gname);
-        for (const auto &tech : lineup) {
-            const sim::GroupMetrics gm = runner.runGroup(g, tech);
-            thr_rows[gname].push_back(gm.meanThroughput);
-            fair_rows[gname].push_back(gm.meanFairness);
+        for (const auto &row : metrics) {
+            thr_rows[gname].push_back(row[g].meanThroughput);
+            fair_rows[gname].push_back(row[g].meanFairness);
         }
     }
 

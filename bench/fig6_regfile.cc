@@ -18,7 +18,7 @@ main()
            " RaT@128 >= FLUSH@320 for MIX/MEM (the paper's 60% register"
            " reduction claim)");
 
-    const unsigned sizes[] = {64, 128, 192, 256, 320};
+    const std::vector<unsigned> sizes = {64, 128, 192, 256, 320};
 
     // rows[group][technique-size column]
     std::map<std::string, std::vector<double>> rows;
@@ -33,29 +33,14 @@ main()
     for (const sim::WorkloadGroup g : sim::allGroups())
         group_order.push_back(sim::groupName(g));
 
-    for (const unsigned size : sizes) {
-        sim::SimConfig cfg = benchConfig();
-        cfg.core.intRegs = size;
-        cfg.core.fpRegs = size;
-        sim::ExperimentRunner runner(cfg);
-        applyJobs(runner);
-        for (const sim::WorkloadGroup g : sim::allGroups()) {
-            const std::string gname = sim::groupName(g);
-            rows[gname].push_back(
-                runner.runGroup(g, sim::flushSpec()).meanThroughput);
-        }
-    }
-    for (const unsigned size : sizes) {
-        sim::SimConfig cfg = benchConfig();
-        cfg.core.intRegs = size;
-        cfg.core.fpRegs = size;
-        sim::ExperimentRunner runner(cfg);
-        applyJobs(runner);
-        for (const sim::WorkloadGroup g : sim::allGroups()) {
-            const std::string gname = sim::groupName(g);
-            rows[gname].push_back(
-                runner.runGroup(g, sim::ratSpec()).meanThroughput);
-        }
+    // Each technique's row lists every group, sizes innermost.
+    sim::CampaignSpec spec =
+        benchCampaign({sim::flushSpec(), sim::ratSpec()});
+    spec.regsAxis = sizes;
+    for (const auto &row : runLineup(spec)) {
+        for (std::size_t i = 0; i < row.size(); ++i)
+            rows[group_order[i / sizes.size()]].push_back(
+                row[i].meanThroughput);
     }
 
     printGroupTable("Fig. 6 Throughput (Eq. 1 IPC) by register-file size",

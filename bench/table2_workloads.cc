@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "bench/bench_util.hh"
-#include "sim/simulator.hh"
 #include "trace/profile.hh"
 
 int
@@ -22,9 +21,6 @@ main()
            "memory-bound; gzip/gcc/eon/... are ILP; MIX pairs one of "
            "each");
 
-    sim::ExperimentRunner runner(benchConfig());
-    applyJobs(runner);
-
     struct Row {
         std::string name;
         double ipc;
@@ -34,10 +30,11 @@ main()
 
     // Characterize every program in a single-threaded processor, the
     // paper's methodology for building Table 2.
-    for (const std::string &prog : sim::allPrograms()) {
-        sim::Simulator s(runner.configFor(sim::icountSpec(), 1), {prog});
-        const sim::SimResult r = s.run();
-        rows.push_back({prog, r.threads[0].ipc, r.threads[0].l2Mpki});
+    sim::CampaignOutcome baselines;
+    sim::runBaselines(benchCampaign({}), sim::allPrograms(), &baselines);
+    for (const sim::CampaignCell &cell : baselines.cells) {
+        const sim::ThreadResult &t = cell.result.threads[0];
+        rows.push_back({cell.workload, t.ipc, t.l2Mpki});
     }
     std::sort(rows.begin(), rows.end(),
               [](const Row &a, const Row &b) { return a.mpki > b.mpki; });

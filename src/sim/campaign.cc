@@ -3,7 +3,9 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <set>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.hh"
@@ -82,12 +84,10 @@ expandCampaign(const CampaignSpec &spec)
                                 cell.seed = seed;
                                 cell.programs = workload->programs;
 
-                                SimConfig cfg = spec.base;
-                                cfg.core.numThreads =
+                                SimConfig cfg = techniqueConfig(
+                                    spec.base, tech,
                                     static_cast<unsigned>(
-                                        workload->programs.size());
-                                cfg.core.policy = tech.policy;
-                                cfg.core.rat = tech.rat;
+                                        workload->programs.size()));
                                 cfg.core.rat.variant = variant;
                                 cfg.core.intRegs = r;
                                 cfg.core.fpRegs = r;
@@ -260,6 +260,80 @@ mergeSampledOutcome(const CampaignOutcome &outcome)
         i = j;
     }
     return merged;
+}
+
+BaselineIpcMap
+runBaselines(const CampaignSpec &spec,
+             const std::vector<std::string> &programs,
+             CampaignOutcome *outcome)
+{
+    CampaignSpec st;
+    st.base = spec.base;
+    // A trace covers the caller's simulation, never its references.
+    st.base.traceOut.clear();
+    st.techniques = {icountSpec()};
+    st.cacheDir = spec.cacheDir;
+    st.parallelism = spec.parallelism;
+    std::set<std::string> seen;
+    for (const std::string &p : programs) {
+        if (seen.insert(p).second)
+            st.workloads.push_back(Workload::fromPrograms({p}));
+    }
+    if (st.workloads.empty())
+        return {};
+
+    // One row per program, also when the base config is sampled.
+    CampaignOutcome run = mergeSampledOutcome(runCampaign(st));
+    BaselineIpcMap ipcs;
+    for (const CampaignCell &cell : run.cells)
+        ipcs.emplace(cell.workload, cell.result.threads.at(0).ipc);
+    if (outcome)
+        *outcome = std::move(run);
+    return ipcs;
+}
+
+std::vector<GroupMetrics>
+groupMetricsOf(const CampaignOutcome &outcome,
+               const BaselineIpcMap *baselines)
+{
+    // Cells that differ only in their workload share one slot; slots
+    // are numbered in order of first appearance, which is grid order.
+    using Coordinate = std::tuple<std::string, std::string, std::string,
+                                  unsigned, unsigned, Cycle,
+                                  std::uint64_t>;
+    std::map<Coordinate, std::size_t> slots;
+    std::vector<GroupMetrics> groups;
+    for (const CampaignCell &cell : outcome.cells) {
+        if (cell.group.empty())
+            continue;
+        RAT_ASSERT(cell.sampleIndex < 0,
+                   "aggregate a merged sampled campaign");
+        const auto [it, fresh] = slots.emplace(
+            Coordinate{cell.technique, cell.group, cell.raVariant,
+                       cell.regs, cell.rob, cell.measureCycles,
+                       cell.seed},
+            groups.size());
+        if (fresh) {
+            GroupMetrics &gm = groups.emplace_back();
+            gm.technique = cell.technique;
+            gm.group = *parseGroup(cell.group);
+        }
+        groups[it->second].results.push_back(cell.result);
+    }
+
+    for (GroupMetrics &gm : groups) {
+        std::vector<double> thr, fair, e;
+        for (const SimResult &r : gm.results) {
+            thr.push_back(throughput(r));
+            if (baselines)
+                fair.push_back(fairness(r, *baselines));
+            e.push_back(ed2(r));
+        }
+        gm.meanThroughput = mean(thr);
+        gm.meanFairness = mean(fair);
+        gm.meanEd2 = mean(e);
+    }
+    return groups;
 }
 
 report::Json

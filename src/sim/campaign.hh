@@ -153,6 +153,33 @@ CampaignOutcome runCampaign(const CampaignSpec &spec);
 CampaignOutcome mergeSampledOutcome(const CampaignOutcome &outcome);
 
 /**
+ * Single-thread ICOUNT IPC of every distinct program in @p programs —
+ * the Eq. 2 fairness reference — run as a campaign of one
+ * single-program workload per program with @p spec's base config,
+ * cache dir and parallelism (its axes and techniques are ignored).
+ * The baseline cells never inherit `base.traceOut`: a trace covers the
+ * caller's simulation, not its references. When @p outcome is given it
+ * receives the baseline campaign itself (cells in first-appearance
+ * program order, cache and simulation counters).
+ */
+BaselineIpcMap runBaselines(const CampaignSpec &spec,
+                            const std::vector<std::string> &programs,
+                            CampaignOutcome *outcome = nullptr);
+
+/**
+ * Aggregate a finished campaign into one GroupMetrics per (technique,
+ * group) — per (technique, group, axis point) when axes have several
+ * values — in grid order; results follow the group's workload order.
+ * Explicit-workload cells belong to no group and are skipped; a
+ * sampled campaign must be merged (mergeSampledOutcome) first.
+ * Throughput and ED^2 means are always filled; the fairness mean only
+ * when @p baselines covers the programs (runBaselines), else it is 0.
+ */
+std::vector<GroupMetrics>
+groupMetricsOf(const CampaignOutcome &outcome,
+               const BaselineIpcMap *baselines = nullptr);
+
+/**
  * Structured report of a finished campaign. Deliberately excludes
  * cache/parallelism metadata so cold, warm-cache and serial runs of
  * the same spec serialize byte-identically.

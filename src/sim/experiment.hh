@@ -1,16 +1,16 @@
 /**
  * @file
- * Experiment runner shared by the bench binaries: runs (technique x
- * workload) grids with cached single-thread baselines and parallel
- * execution of independent simulations.
+ * Vocabulary of the paper's technique x workload-group grids: the
+ * evaluated techniques, a technique's effective configuration, the
+ * per-group aggregate a figure plots, and the worker-pool helper that
+ * runs independent simulations in parallel. Grids themselves run as
+ * campaigns (sim/campaign.hh).
  */
 
 #ifndef RAT_SIM_EXPERIMENT_HH
 #define RAT_SIM_EXPERIMENT_HH
 
 #include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -36,6 +36,21 @@ TechniqueSpec dcraSpec();
 TechniqueSpec hillClimbingSpec();
 TechniqueSpec ratSpec();
 
+/**
+ * The configuration @p tech runs a @p num_threads workload with:
+ * @p base with the technique's policy and RaT settings applied. The one
+ * place a technique becomes a config (campaign cells, single runs).
+ */
+inline SimConfig
+techniqueConfig(SimConfig base, const TechniqueSpec &tech,
+                unsigned num_threads)
+{
+    base.core.numThreads = num_threads;
+    base.core.policy = tech.policy;
+    base.core.rat = tech.rat;
+    return base;
+}
+
 /** Aggregated metrics of a technique over one workload group. */
 struct GroupMetrics {
     std::string technique;
@@ -44,56 +59,6 @@ struct GroupMetrics {
     double meanFairness = 0.0;
     double meanEd2 = 0.0;
     std::vector<SimResult> results; ///< one per workload in the group
-};
-
-/**
- * Shared runner. Thread-safe baseline cache; group runs farm the
- * independent simulations out to a pool of worker threads.
- */
-class ExperimentRunner
-{
-  public:
-    /**
-     * @param base Baseline configuration. Policy/RaT fields are
-     *             overridden per technique; numThreads per workload.
-     */
-    explicit ExperimentRunner(SimConfig base);
-
-    /** Apply a technique to a config copy. */
-    SimConfig configFor(const TechniqueSpec &tech,
-                        unsigned num_threads) const;
-
-    /** Run one workload under one technique. */
-    SimResult runWorkload(const Workload &workload,
-                          const TechniqueSpec &tech) const;
-
-    /**
-     * Single-thread reference IPC of a program (ICOUNT, one thread),
-     * memoized across calls.
-     */
-    double singleThreadIpc(const std::string &program);
-
-    /** Baselines for every program in @p workload. */
-    BaselineIpcMap baselinesFor(const Workload &workload);
-
-    /** Run a full group under a technique, in parallel. */
-    GroupMetrics runGroup(WorkloadGroup group, const TechniqueSpec &tech);
-
-    /** Worker threads used for parallel runs (>=1). */
-    unsigned parallelism() const { return parallelism_; }
-    /** Override worker count. */
-    void setParallelism(unsigned n) { parallelism_ = n ? n : 1; }
-
-    /** The base configuration. */
-    const SimConfig &baseConfig() const { return base_; }
-    /** Mutable base configuration (e.g. register-file sweeps). */
-    SimConfig &baseConfig() { return base_; }
-
-  private:
-    SimConfig base_;
-    unsigned parallelism_;
-    std::mutex cacheMutex_;
-    std::map<std::string, double> baselineCache_;
 };
 
 /**

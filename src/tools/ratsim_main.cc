@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -266,9 +267,7 @@ writeOutput(const std::string &path, const std::string &text,
 }
 
 void
-printRun(const sim::SimResult &r, bool with_fairness,
-         sim::ExperimentRunner *runner,
-         const sim::Workload *workload)
+printRun(const sim::SimResult &r, const sim::BaselineIpcMap *baselines)
 {
     std::printf("%-10s %8s %12s %9s %9s %10s %10s\n", "thread", "IPC",
                 "committed", "L2 MPKI", "mispred%", "RA epis.",
@@ -290,10 +289,9 @@ printRun(const sim::SimResult &r, bool with_fairness,
     }
     std::printf("\nthroughput (Eq.1): %.3f   total IPC: %.3f   ED^2: %.3g\n",
                 r.throughputEq1(), r.totalIpc(), sim::ed2(r));
-    if (with_fairness && runner && workload) {
-        const auto base = runner->baselinesFor(*workload);
-        std::printf("fairness (Eq.2):   %.3f\n", sim::fairness(r, base));
-    }
+    if (baselines)
+        std::printf("fairness (Eq.2):   %.3f\n",
+                    sim::fairness(r, *baselines));
 }
 
 /** Options shared by the run and report subcommands. */
@@ -490,27 +488,41 @@ runCommand(const std::vector<std::string> &args, bool structured)
     validateSampled(opt.cfg, opt.sampledParams,
                     !opt.groupName.empty() || opt.withFairness,
                     /*verify_mode=*/false);
+    if (!opt.groupName.empty() && !opt.cfg.traceOut.empty())
+        fatal("--trace-out traces one simulation; --group runs one per "
+              "workload (drop --trace-out or run a single --workload)");
     // Structured output defaults to JSON on stdout.
     if (structured && opt.jsonPath.empty() && opt.csvPath.empty())
         opt.jsonPath = "-";
+
+    const sim::TechniqueSpec tech{opt.policyName, opt.cfg.core.policy,
+                                  opt.cfg.core.rat};
+    sim::CampaignSpec spec;
+    spec.base = opt.cfg;
+    spec.techniques = {tech};
 
     if (!opt.groupName.empty()) {
         const auto group = sim::parseGroup(opt.groupName);
         if (!group)
             fatal("unknown group '%s'", opt.groupName.c_str());
-        sim::ExperimentRunner runner(opt.cfg);
-        const sim::TechniqueSpec tech{opt.policyName,
-                                      opt.cfg.core.policy,
-                                      opt.cfg.core.rat};
-        const sim::GroupMetrics gm = runner.runGroup(*group, tech);
+        spec.groups = {*group};
+        std::vector<std::string> programs;
+        for (const sim::Workload &w : sim::workloadsOf(*group))
+            programs.insert(programs.end(), w.programs.begin(),
+                            w.programs.end());
+        const sim::BaselineIpcMap baselines =
+            sim::runBaselines(spec, programs);
+        const sim::GroupMetrics gm =
+            sim::groupMetricsOf(sim::runCampaign(spec), &baselines)
+                .front();
         if (structured) {
             if (!opt.jsonPath.empty()) {
                 report::Json j = report::Json::object();
                 j["schema"] = report::Json("ratsim-group-v1");
                 // Effective config: every run in the group uses the
                 // group's thread count, not the base default.
-                j["config"] = report::toJson(
-                    runner.configFor(tech, sim::groupThreads(*group)));
+                j["config"] = report::toJson(sim::techniqueConfig(
+                    opt.cfg, tech, sim::groupThreads(*group)));
                 j["groupMetrics"] = report::toJson(gm);
                 writeOutput(opt.jsonPath, j.dump(2), "JSON");
             }
@@ -535,20 +547,12 @@ runCommand(const std::vector<std::string> &args, bool structured)
 
     const sim::Workload w =
         sim::Workload::fromPrograms(splitPrograms(opt.workloadList));
-    sim::ExperimentRunner runner(opt.cfg);
-    const sim::TechniqueSpec tech{opt.policyName, opt.cfg.core.policy,
-                                  opt.cfg.core.rat};
-    // Sampled runs dispatch through the same cell runner the
-    // campaign/farm use: profile, checkpoint, per-phase samples,
-    // merged extrapolation. Exact runs keep the existing path
-    // bit-for-bit.
-    const sim::SimResult r =
-        opt.cfg.sampled
-            ? sim::simulateCell(
-                  runner.configFor(tech, static_cast<unsigned>(
-                                             w.programs.size())),
-                  w.programs)
-            : runner.runWorkload(w, tech);
+    const sim::SimConfig cfg = sim::techniqueConfig(
+        opt.cfg, tech, static_cast<unsigned>(w.programs.size()));
+    const sim::SimResult r = sim::simulateCell(cfg, w.programs);
+    std::optional<sim::BaselineIpcMap> baselines;
+    if (opt.withFairness)
+        baselines = sim::runBaselines(spec, w.programs);
 
     if (structured) {
         if (!opt.jsonPath.empty()) {
@@ -556,18 +560,14 @@ runCommand(const std::vector<std::string> &args, bool structured)
             j["schema"] = report::Json("ratsim-run-v1");
             j["workload"] = report::Json(w.name);
             j["technique"] = report::Json(opt.policyName);
-            j["config"] = report::toJson(
-                runner.configFor(tech,
-                                 static_cast<unsigned>(
-                                     w.programs.size())));
+            j["config"] = report::toJson(cfg);
             j["metrics"] = report::resultMetricsJson(r);
             // Engine stats ride only on this always-fresh path; they
             // are not part of toJson(SimResult) (see serialize.hh).
             j["engine"] = report::engineStatsJson(r.engine);
-            if (opt.withFairness) {
-                j["fairness"] = report::Json(
-                    sim::fairness(r, runner.baselinesFor(w)));
-            }
+            if (baselines)
+                j["fairness"] =
+                    report::Json(sim::fairness(r, *baselines));
             j["result"] = report::toJson(r);
             writeOutput(opt.jsonPath, j.dump(2), "JSON");
         }
@@ -581,7 +581,7 @@ runCommand(const std::vector<std::string> &args, bool structured)
                 w.name.c_str(), opt.policyName.c_str(),
                 static_cast<unsigned long long>(opt.cfg.measureCycles),
                 opt.cfg.sampled ? ", sampled" : "");
-    printRun(r, opt.withFairness, &runner, &w);
+    printRun(r, baselines ? &*baselines : nullptr);
     if (r.sampled.enabled && r.sampled.merged)
         std::printf("sampled: %u phases over %llu profiled windows "
                     "(est. ipc error %.2f%%, hmean error %.2f%%)\n",
@@ -595,7 +595,7 @@ runCommand(const std::vector<std::string> &args, bool structured)
 
 /**
  * `ratsim verify`: run one configuration across the host-side mode
- * grid (cycle-skip x scheduler x ra-variant) plus a save/restore leg
+ * grid (cycle-skip x ra-variant) plus a save/restore leg
  * and compare state-digest streams; bisect any divergence to the
  * first differing cycle. Exit 0 = consistent; 1 = divergence found
  * (including a deliberately seeded one); 2 = a seeded mutation went

@@ -2,28 +2,40 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
+#include "sim/campaign.hh"
 
 namespace rat::sim {
 namespace {
 
-SimConfig
-mediumConfig()
+/** @p lineup on one workload at medium windows, as one campaign. */
+CampaignSpec
+lineupOn(const std::vector<std::string> &programs,
+         std::vector<TechniqueSpec> lineup)
 {
-    SimConfig cfg;
-    cfg.warmupCycles = 5000;
-    cfg.measureCycles = 30000;
-    return cfg;
+    CampaignSpec spec;
+    spec.base.warmupCycles = 5000;
+    spec.base.measureCycles = 30000;
+    spec.techniques = std::move(lineup);
+    spec.workloads = {Workload::fromPrograms(programs)};
+    return spec;
+}
+
+/** Eq. 1 throughput of every cell, in grid order. */
+std::vector<double>
+throughputs(const CampaignSpec &spec)
+{
+    std::vector<double> out;
+    for (const CampaignCell &cell : runCampaign(spec).cells)
+        out.push_back(throughput(cell.result));
+    return out;
 }
 
 TEST(PaperShape, RatBeatsStaticPoliciesOnMemWorkload)
 {
-    ExperimentRunner runner(mediumConfig());
-    const Workload w{"art,mcf", {"art", "mcf"}};
-    const double icount = throughput(runner.runWorkload(w, icountSpec()));
-    const double stall = throughput(runner.runWorkload(w, stallSpec()));
-    const double flush = throughput(runner.runWorkload(w, flushSpec()));
-    const double rat = throughput(runner.runWorkload(w, ratSpec()));
+    const auto thr = throughputs(lineupOn(
+        {"art", "mcf"}, {icountSpec(), stallSpec(), flushSpec(), ratSpec()}));
+    const double icount = thr[0], stall = thr[1], flush = thr[2],
+                 rat = thr[3];
 
     // Fig. 1 ordering on MEM workloads: RaT ahead of FLUSH/STALL/ICOUNT.
     EXPECT_GT(rat, flush);
@@ -33,12 +45,9 @@ TEST(PaperShape, RatBeatsStaticPoliciesOnMemWorkload)
 
 TEST(PaperShape, RatBeatsDynamicPoliciesOnMemWorkload)
 {
-    ExperimentRunner runner(mediumConfig());
-    const Workload w{"swim,mcf", {"swim", "mcf"}};
-    const double dcra = throughput(runner.runWorkload(w, dcraSpec()));
-    const double hc =
-        throughput(runner.runWorkload(w, hillClimbingSpec()));
-    const double rat = throughput(runner.runWorkload(w, ratSpec()));
+    const auto thr = throughputs(lineupOn(
+        {"swim", "mcf"}, {dcraSpec(), hillClimbingSpec(), ratSpec()}));
+    const double dcra = thr[0], hc = thr[1], rat = thr[2];
 
     // Fig. 2 ordering on MEM workloads.
     EXPECT_GT(rat, dcra);
@@ -47,31 +56,29 @@ TEST(PaperShape, RatBeatsDynamicPoliciesOnMemWorkload)
 
 TEST(PaperShape, RatFairnessBeatsIcountOnMem)
 {
-    ExperimentRunner runner(mediumConfig());
-    const Workload w{"art,mcf", {"art", "mcf"}};
-    const auto base = runner.baselinesFor(w);
-    const double f_icount =
-        fairness(runner.runWorkload(w, icountSpec()), base);
-    const double f_rat = fairness(runner.runWorkload(w, ratSpec()), base);
+    const CampaignSpec spec =
+        lineupOn({"art", "mcf"}, {icountSpec(), ratSpec()});
+    const BaselineIpcMap base = runBaselines(spec, {"art", "mcf"});
+    const auto cells = runCampaign(spec).cells;
+    const double f_icount = fairness(cells[0].result, base);
+    const double f_rat = fairness(cells[1].result, base);
     EXPECT_GT(f_rat, f_icount);
 }
 
 TEST(PaperShape, IlpWorkloadsLargelyUnaffectedByRat)
 {
-    ExperimentRunner runner(mediumConfig());
-    const Workload w{"gzip,bzip2", {"gzip", "bzip2"}};
-    const double icount = throughput(runner.runWorkload(w, icountSpec()));
-    const double rat = throughput(runner.runWorkload(w, ratSpec()));
+    const auto thr = throughputs(
+        lineupOn({"gzip", "bzip2"}, {icountSpec(), ratSpec()}));
+    const double icount = thr[0], rat = thr[1];
     // Within ~15% on ILP pairs (paper: moderate effect on ILP).
     EXPECT_GT(rat, 0.85 * icount);
 }
 
 TEST(PaperShape, RatRegisterPressureDropsInRunahead)
 {
-    ExperimentRunner runner(mediumConfig());
-    const Workload w{"art,swim", {"art", "swim"}};
-    const SimResult r = runner.runWorkload(w, ratSpec());
-    for (const ThreadResult &t : r.threads) {
+    const auto cells =
+        runCampaign(lineupOn({"art", "swim"}, {ratSpec()})).cells;
+    for (const ThreadResult &t : cells[0].result.threads) {
         if (t.core.runaheadCycles > 3000) {
             EXPECT_LT(t.core.avgRegsRunahead(),
                       t.core.avgRegsNormal())
@@ -82,22 +89,12 @@ TEST(PaperShape, RatRegisterPressureDropsInRunahead)
 
 TEST(PaperShape, SmallRegisterFileHurtsFlushMoreThanRat)
 {
-    SimConfig small = mediumConfig();
-    small.core.intRegs = 64;
-    small.core.fpRegs = 64;
-    SimConfig big = mediumConfig();
-    big.core.intRegs = 320;
-    big.core.fpRegs = 320;
-
-    ExperimentRunner r_small(small);
-    ExperimentRunner r_big(big);
-    const Workload w{"art,mcf", {"art", "mcf"}};
-
-    const double flush_small =
-        throughput(r_small.runWorkload(w, flushSpec()));
-    const double flush_big = throughput(r_big.runWorkload(w, flushSpec()));
-    const double rat_small = throughput(r_small.runWorkload(w, ratSpec()));
-    const double rat_big = throughput(r_big.runWorkload(w, ratSpec()));
+    CampaignSpec spec =
+        lineupOn({"art", "mcf"}, {flushSpec(), ratSpec()});
+    spec.regsAxis = {64, 320};
+    const auto thr = throughputs(spec);
+    const double flush_small = thr[0], flush_big = thr[1],
+                 rat_small = thr[2], rat_big = thr[3];
 
     const double flush_slowdown = 1.0 - flush_small / flush_big;
     const double rat_slowdown = 1.0 - rat_small / rat_big;
@@ -109,15 +106,13 @@ TEST(PaperShape, SmallRegisterFileHurtsFlushMoreThanRat)
 
 TEST(PaperShape, PrefetchAblationLosesMostOfTheGain)
 {
-    ExperimentRunner runner(mediumConfig());
-    const Workload w{"swim,art", {"swim", "art"}};
-
     TechniqueSpec no_pf = ratSpec();
     no_pf.label = "RaT-noPF";
     no_pf.rat.disablePrefetch = true;
 
-    const double rat = throughput(runner.runWorkload(w, ratSpec()));
-    const double nopf = throughput(runner.runWorkload(w, no_pf));
+    const auto thr =
+        throughputs(lineupOn({"swim", "art"}, {ratSpec(), no_pf}));
+    const double rat = thr[0], nopf = thr[1];
     EXPECT_GT(rat, nopf); // Fig. 4: prefetching dominates the benefit
 }
 

@@ -6,10 +6,19 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
-#include "sim/simulator.hh"
+#include "sim/sampled.hh"
 
 namespace rat::sim {
 namespace {
+
+/** One simulation of @p w under @p tech. */
+SimResult
+run(const SimConfig &cfg, const Workload &w, const TechniqueSpec &tech)
+{
+    return simulateCell(
+        techniqueConfig(cfg, tech, static_cast<unsigned>(w.programs.size())),
+        w.programs);
+}
 
 /**
  * Every (technique x workload class) combination must run to completion
@@ -56,11 +65,9 @@ TEST_P(PolicyWorkloadMatrix, RunsCleanWithSaneNumbers)
     SimConfig cfg;
     cfg.warmupCycles = 2000;
     cfg.measureCycles = 8000;
-    ExperimentRunner runner(cfg);
 
     const Workload w = workloadByName(wl_name);
-    const SimResult r =
-        runner.runWorkload(w, techniqueByName(tech_name));
+    const SimResult r = run(cfg, w, techniqueByName(tech_name));
 
     ASSERT_EQ(r.threads.size(), w.programs.size());
     for (const ThreadResult &t : r.threads) {
@@ -92,19 +99,18 @@ TEST(Invariants, RunaheadOnlyUnderRat)
     SimConfig cfg;
     cfg.warmupCycles = 1000;
     cfg.measureCycles = 8000;
-    ExperimentRunner runner(cfg);
     const Workload w{"art,mcf", {"art", "mcf"}};
 
     for (const auto &tech :
          {icountSpec(), stallSpec(), flushSpec(), dcraSpec(),
           hillClimbingSpec()}) {
-        const SimResult r = runner.runWorkload(w, tech);
+        const SimResult r = run(cfg, w, tech);
         for (const ThreadResult &t : r.threads) {
             EXPECT_EQ(t.core.runaheadEntries, 0u)
                 << tech.label << " " << t.program;
         }
     }
-    const SimResult rat = runner.runWorkload(w, ratSpec());
+    const SimResult rat = run(cfg, w, ratSpec());
     std::uint64_t entries = 0;
     for (const ThreadResult &t : rat.threads)
         entries += t.core.runaheadEntries;
@@ -116,16 +122,15 @@ TEST(Invariants, OnlyFlushAndRatReexecute)
     SimConfig cfg;
     cfg.warmupCycles = 1000;
     cfg.measureCycles = 8000;
-    ExperimentRunner runner(cfg);
     const Workload w{"art,gzip", {"art", "gzip"}};
 
     // STALL never squashes; executed ~ committed (+ in-flight slack).
-    const SimResult stall = runner.runWorkload(w, stallSpec());
+    const SimResult stall = run(cfg, w, stallSpec());
     for (const ThreadResult &t : stall.threads)
         EXPECT_EQ(t.core.squashedInsts, 0u) << t.program;
 
     // FLUSH squashes the memory thread.
-    const SimResult flush = runner.runWorkload(w, flushSpec());
+    const SimResult flush = run(cfg, w, flushSpec());
     EXPECT_GT(flush.threads[0].core.squashedInsts, 0u);
 }
 

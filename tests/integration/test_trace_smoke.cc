@@ -146,6 +146,36 @@ TEST(TraceSmoke, CategoryFilterKeepsOnlyRequestedTracks)
     EXPECT_GE(episodes, 1u);
 }
 
+TEST(TraceSmoke, FairnessBaselinesLeaveTheWorkloadTraceIntact)
+{
+    // The single-thread baseline runs behind --fairness must not write
+    // the trace: it stays the 2-thread workload's, one track per thread.
+    const std::string trace = tempPath("fairness.trace.json");
+    const CliResult r = runCli(
+        "run --workload art,gzip --policy RaT --measure 3000 "
+        "--warmup 500 --prewarm 20000 --fairness --trace-out " + trace);
+    ASSERT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_NE(r.output.find("fairness (Eq.2):"), std::string::npos)
+        << r.output;
+    const std::string text = slurp(trace);
+    EXPECT_NE(text.find("\"hw thread 0\""), std::string::npos);
+    EXPECT_NE(text.find("\"hw thread 1\""), std::string::npos);
+}
+
+TEST(TraceSmoke, GroupRunRejectsTraceOut)
+{
+    // A trace covers one simulation; a group runs one per workload.
+    for (const char *cmd : {"run", "report"}) {
+        const CliResult r = runCli(
+            std::string(cmd) +
+            " --group MEM2 --measure 2000 --trace-out group.trace.json");
+        EXPECT_EQ(r.exitCode, 1) << cmd << ": " << r.output;
+        EXPECT_NE(r.output.find("--trace-out traces one simulation"),
+                  std::string::npos)
+            << r.output;
+    }
+}
+
 TEST(TraceSmoke, UnknownCategoryFailsWithDiagnostic)
 {
     const CliResult r = runCli(

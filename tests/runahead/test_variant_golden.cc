@@ -24,7 +24,7 @@
 #include "report/serialize.hh"
 #include "runahead/variant.hh"
 #include "sim/experiment.hh"
-#include "sim/workloads.hh"
+#include "sim/sampled.hh"
 
 namespace rat::sim {
 namespace {
@@ -45,13 +45,10 @@ cappedMix2Config(bool cycle_skipping)
 std::string
 runCappedMix2Json(bool cycle_skipping)
 {
-    ExperimentRunner runner(cappedMix2Config(cycle_skipping));
-    const Workload w = Workload::fromPrograms({"art", "gzip"});
-    TechniqueSpec tech;
-    tech.label = "RaT";
-    tech.policy = core::PolicyKind::Rat;
-    tech.rat = runner.baseConfig().core.rat;
-    const SimResult r = runner.runWorkload(w, tech);
+    const SimConfig cfg = cappedMix2Config(cycle_skipping);
+    const TechniqueSpec tech{"RaT", core::PolicyKind::Rat, cfg.core.rat};
+    const SimResult r =
+        simulateCell(techniqueConfig(cfg, tech, 2), {"art", "gzip"});
     return report::toJson(r).dump(2) + "\n";
 }
 

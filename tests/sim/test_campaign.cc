@@ -2,8 +2,8 @@
  * @file
  * Campaign engine tests: grid expansion, on-disk result-cache
  * memoization (a warm re-run simulates nothing and returns
- * bit-identical results), parallel-vs-serial equivalence, and
- * key-collision safety.
+ * bit-identical results), parallel-vs-serial equivalence, key-collision
+ * safety, per-group aggregation and the single-thread baselines.
  */
 
 #include <filesystem>
@@ -248,6 +248,107 @@ TEST(Campaign, DuplicateCellsSimulateOnce)
     EXPECT_EQ(outcome.simulated, 1u);
     EXPECT_EQ(report::toJson(outcome.cells[0].result).dump(),
               report::toJson(outcome.cells[1].result).dump());
+}
+
+TEST(Campaign, GroupMetricsMeansMatchMeansOfTheCells)
+{
+    CampaignSpec spec;
+    spec.base = tinyConfig();
+    spec.techniques = {ratSpec()};
+    spec.groups = {WorkloadGroup::MEM2};
+    const CampaignOutcome outcome = runCampaign(spec);
+    const BaselineIpcMap base = runBaselines(spec, allPrograms());
+
+    const std::vector<GroupMetrics> groups =
+        groupMetricsOf(outcome, &base);
+    ASSERT_EQ(groups.size(), 1u);
+    const GroupMetrics &gm = groups[0];
+    EXPECT_EQ(gm.technique, "RaT");
+    EXPECT_EQ(gm.group, WorkloadGroup::MEM2);
+    ASSERT_EQ(gm.results.size(), workloadsOf(WorkloadGroup::MEM2).size());
+    ASSERT_EQ(outcome.cells.size(), gm.results.size());
+
+    double thr = 0.0, fair = 0.0, e = 0.0;
+    for (std::size_t i = 0; i < outcome.cells.size(); ++i) {
+        const SimResult &r = outcome.cells[i].result;
+        EXPECT_EQ(report::toJson(gm.results[i]).dump(),
+                  report::toJson(r).dump())
+            << i;
+        thr += throughput(r);
+        fair += fairness(r, base);
+        e += ed2(r);
+    }
+    const double n = static_cast<double>(outcome.cells.size());
+    EXPECT_DOUBLE_EQ(gm.meanThroughput, thr / n);
+    EXPECT_DOUBLE_EQ(gm.meanFairness, fair / n);
+    EXPECT_DOUBLE_EQ(gm.meanEd2, e / n);
+    EXPECT_GT(gm.meanFairness, 0.0);
+
+    // Without baselines the fairness mean stays empty.
+    const GroupMetrics bare = groupMetricsOf(outcome).front();
+    EXPECT_EQ(bare.meanFairness, 0.0);
+    EXPECT_EQ(bare.meanThroughput, gm.meanThroughput);
+}
+
+TEST(Campaign, GroupMetricsSplitsAxisPointsInGridOrder)
+{
+    CampaignSpec spec;
+    spec.base = tinyConfig();
+    spec.techniques = {flushSpec(), ratSpec()};
+    spec.groups = {WorkloadGroup::MEM2, WorkloadGroup::ILP2};
+    spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
+    spec.measureAxis = {1000, 1500};
+    const CampaignOutcome outcome = runCampaign(spec);
+    const std::vector<GroupMetrics> groups = groupMetricsOf(outcome);
+
+    // technique x group x measure point; the explicit workload joins no
+    // group. Every group cell lands in its slot, in workload order.
+    ASSERT_EQ(groups.size(), 2u * 2u * 2u);
+    std::vector<std::size_t> filled(groups.size(), 0);
+    for (const CampaignCell &cell : outcome.cells) {
+        if (cell.group.empty())
+            continue;
+        const std::size_t t = cell.technique == "FLUSH" ? 0 : 1;
+        const std::size_t g = cell.group == "MEM2" ? 0 : 1;
+        const std::size_t m = cell.measureCycles == 1000 ? 0 : 1;
+        const std::size_t slot = (t * 2 + g) * 2 + m;
+        const GroupMetrics &gm = groups[slot];
+        EXPECT_EQ(gm.technique, cell.technique);
+        EXPECT_EQ(groupName(gm.group), cell.group);
+        ASSERT_LT(filled[slot], gm.results.size());
+        const SimResult &r = gm.results[filled[slot]++];
+        EXPECT_EQ(r.cycles, cell.measureCycles);
+        EXPECT_EQ(report::toJson(r).dump(),
+                  report::toJson(cell.result).dump());
+    }
+    for (std::size_t i = 0; i < groups.size(); ++i)
+        EXPECT_EQ(filled[i], workloadsOf(groups[i].group).size()) << i;
+}
+
+TEST(Campaign, WarmBaselineCampaignSimulatesNothingAndReturnsTheColdMap)
+{
+    TempCacheDir cache("ratsim_campaign_baselines");
+    CampaignSpec spec = smallSpec(cache.path.string());
+    const std::vector<std::string> programs{"art", "mcf", "art"};
+
+    CampaignOutcome cold;
+    const BaselineIpcMap cold_map = runBaselines(spec, programs, &cold);
+    // One single-thread ICOUNT cell per distinct program.
+    ASSERT_EQ(cold.cells.size(), 2u);
+    EXPECT_EQ(cold.simulated, 2u);
+    for (const CampaignCell &cell : cold.cells) {
+        EXPECT_EQ(cell.technique, "ICOUNT");
+        EXPECT_EQ(cell.config.core.numThreads, 1u);
+    }
+    ASSERT_EQ(cold_map.size(), 2u);
+    EXPECT_GT(cold_map.at("art"), 0.0);
+    EXPECT_GT(cold_map.at("mcf"), 0.0);
+
+    CampaignOutcome warm;
+    const BaselineIpcMap warm_map = runBaselines(spec, programs, &warm);
+    EXPECT_EQ(warm.simulated, 0u);
+    EXPECT_EQ(warm.cacheHits, 2u);
+    EXPECT_EQ(warm_map, cold_map);
 }
 
 TEST(ResultCache, CollisionAndCorruptionDegradeToMiss)

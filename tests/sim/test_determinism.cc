@@ -38,7 +38,7 @@
 #include "policy/factory.hh"
 #include "report/serialize.hh"
 #include "sim/experiment.hh"
-#include "sim/workloads.hh"
+#include "sim/sampled.hh"
 
 namespace rat::sim {
 namespace {
@@ -94,13 +94,14 @@ determinismConfig()
 std::string
 runRowJson(const GoldenRow &row)
 {
-    ExperimentRunner runner(determinismConfig());
-    const Workload w = Workload::fromPrograms(row.programs);
     TechniqueSpec tech;
     tech.label = policy::policyKindName(row.policy);
     tech.policy = row.policy;
     tech.rat.useRunaheadCache = row.runaheadCache;
-    const SimResult r = runner.runWorkload(w, tech);
+    const SimResult r = simulateCell(
+        techniqueConfig(determinismConfig(), tech,
+                        static_cast<unsigned>(row.programs.size())),
+        row.programs);
     return report::toJson(r).dump(2) + "\n";
 }
 

@@ -11,8 +11,8 @@
  * commit, explaining the semantic change.
  *
  * Re-capture: run the art,mcf workload at measureCycles=20000 via
- * ExperimentRunner::runWorkload(ratSpec()/icountSpec()) and print the
- * counters (the CLI equivalent:
+ * simulateCell(techniqueConfig(cfg, ratSpec()/icountSpec(), 2)) and
+ * print the counters (the CLI equivalent:
  * `ratsim --workload art,mcf --policy RaT --measure 20000`).
  */
 
@@ -20,6 +20,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/metrics.hh"
+#include "sim/sampled.hh"
 
 namespace rat::sim {
 namespace {
@@ -29,11 +30,7 @@ runArtMcf(const TechniqueSpec &tech)
 {
     SimConfig cfg; // defaults: seed 1, 20k warmup, 1M prewarm insts
     cfg.measureCycles = 20000;
-    ExperimentRunner runner(cfg);
-    Workload w;
-    w.name = "art,mcf";
-    w.programs = {"art", "mcf"};
-    return runner.runWorkload(w, tech);
+    return simulateCell(techniqueConfig(cfg, tech, 2), {"art", "mcf"});
 }
 
 TEST(GoldenStats, RatOnArtMcfSeed1)
@@ -87,12 +84,9 @@ runMem4(const TechniqueSpec &tech)
 {
     SimConfig cfg; // defaults: seed 1, 20k warmup, 1M prewarm insts
     cfg.measureCycles = 20000;
-    ExperimentRunner runner(cfg);
     // First MEM4 workload of Table 2: four memory-bound threads.
-    Workload w;
-    w.name = "art,mcf,swim,twolf";
-    w.programs = {"art", "mcf", "swim", "twolf"};
-    return runner.runWorkload(w, tech);
+    return simulateCell(techniqueConfig(cfg, tech, 4),
+                        {"art", "mcf", "swim", "twolf"});
 }
 
 TEST(GoldenStats, RatOnMem4QuadSeed1)

@@ -1,13 +1,13 @@
 /**
  * @file
  * Measurement-methodology tests: the fixed-window continuous-execution
- * substitute for FAME [19] must represent all threads, be deterministic,
- * and be independent of harness parallelism.
+ * substitute for FAME [19] must represent all threads and be
+ * deterministic. Independence from harness parallelism is pinned by
+ * Campaign.SerialRunMatchesParallelColdRunBitForBit.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
 #include "sim/simulator.hh"
 
 namespace rat::sim {
@@ -32,27 +32,6 @@ TEST(Methodology, EveryThreadIsMeasuredOverTheFullWindow)
         EXPECT_EQ(t.core.normalCycles + t.core.runaheadCycles, r.cycles)
             << t.program;
     }
-}
-
-TEST(Methodology, ParallelAndSerialGroupRunsAgree)
-{
-    ExperimentRunner serial(quick());
-    serial.setParallelism(1);
-    ExperimentRunner parallel(quick());
-    parallel.setParallelism(8);
-
-    const GroupMetrics a =
-        serial.runGroup(WorkloadGroup::MEM2, ratSpec());
-    const GroupMetrics b =
-        parallel.runGroup(WorkloadGroup::MEM2, ratSpec());
-
-    ASSERT_EQ(a.results.size(), b.results.size());
-    for (std::size_t i = 0; i < a.results.size(); ++i) {
-        EXPECT_EQ(a.results[i].committedTotal(),
-                  b.results[i].committedTotal())
-            << i;
-    }
-    EXPECT_DOUBLE_EQ(a.meanThroughput, b.meanThroughput);
 }
 
 TEST(Methodology, LongerWindowsConvergeTowardStableThroughput)

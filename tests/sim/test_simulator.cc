@@ -1,8 +1,7 @@
-/** @file Tests for the Simulator wrapper and ExperimentRunner. */
+/** @file Tests for the Simulator wrapper. */
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
 #include "sim/simulator.hh"
 
 namespace rat::sim {
@@ -67,57 +66,6 @@ TEST(Simulator, DeterministicForSameConfig)
               rb.threads[0].core.committedInsts);
     EXPECT_EQ(ra.threads[1].core.committedInsts,
               rb.threads[1].core.committedInsts);
-}
-
-TEST(ExperimentRunner, BaselineCacheIsStable)
-{
-    ExperimentRunner runner(quickConfig());
-    const double a = runner.singleThreadIpc("gzip");
-    const double b = runner.singleThreadIpc("gzip");
-    EXPECT_DOUBLE_EQ(a, b);
-    EXPECT_GT(a, 0.3);
-}
-
-TEST(ExperimentRunner, IlpBaselineBeatsMemBaseline)
-{
-    ExperimentRunner runner(quickConfig());
-    EXPECT_GT(runner.singleThreadIpc("gzip"),
-              3.0 * runner.singleThreadIpc("mcf"));
-}
-
-TEST(ExperimentRunner, RunWorkloadHonorsTechnique)
-{
-    ExperimentRunner runner(quickConfig());
-    const Workload w{"art,mcf", {"art", "mcf"}};
-    const SimResult icount = runner.runWorkload(w, icountSpec());
-    const SimResult rat = runner.runWorkload(w, ratSpec());
-    EXPECT_GT(rat.totalIpc(), 0.0);
-    EXPECT_GT(icount.totalIpc(), 0.0);
-    // RaT must beat plain ICOUNT on a MEM workload (the headline).
-    EXPECT_GT(rat.totalIpc(), icount.totalIpc());
-}
-
-TEST(ExperimentRunner, ParallelGroupRunMatchesShape)
-{
-    ExperimentRunner runner(quickConfig());
-    runner.setParallelism(4);
-    const GroupMetrics gm =
-        runner.runGroup(WorkloadGroup::ILP2, icountSpec());
-    EXPECT_EQ(gm.results.size(), 10u);
-    EXPECT_GT(gm.meanThroughput, 0.0);
-    EXPECT_GT(gm.meanFairness, 0.0);
-    EXPECT_GT(gm.meanEd2, 0.0);
-}
-
-TEST(RunParallel, ExecutesEveryJobOnce)
-{
-    std::vector<int> hits(37, 0);
-    std::vector<std::function<void()>> jobs;
-    for (int i = 0; i < 37; ++i)
-        jobs.emplace_back([&hits, i] { ++hits[i]; });
-    runParallel(jobs, 8);
-    for (int i = 0; i < 37; ++i)
-        EXPECT_EQ(hits[i], 1) << i;
 }
 
 } // namespace
