@@ -46,25 +46,26 @@ class Btb
     void resetStats();
 
     /**
-     * Checkpoint enumeration (sim/checkpoint.hh): one template drives
-     * both encode and decode — every entry, the LRU use clock and the
-     * statistics counters. The size marker turns a geometry mismatch
-     * into a decode error.
+     * State enumeration (common/state_io.hh): every entry, the LRU use
+     * clock and the statistics counters, all carried only. The size
+     * marker turns a geometry mismatch into a decode error.
      */
     template <typename IO>
     void
-    ckptVisit(IO &io)
+    visitState(IO &io)
     {
-        io.size(entries_.size());
-        for (Entry &e : entries_) {
-            io.scalar(e.tag);
-            io.scalar(e.target);
-            io.scalar(e.lastUse);
-            io.scalar(e.valid);
+        if constexpr (IO::kCarries) {
+            io.size(entries_.size());
+            for (Entry &e : entries_) {
+                io.carry(e.tag);
+                io.carry(e.target);
+                io.carry(e.lastUse);
+                io.carry(e.valid);
+            }
+            io.carry(useClock_);
+            io.carry(lookups_);
+            io.carry(misses_);
         }
-        io.scalar(useClock_);
-        io.scalar(lookups_);
-        io.scalar(misses_);
     }
 
   private:
@@ -113,24 +114,26 @@ class ReturnAddressStack
     void clear() { stack_.clear(); }
 
     /**
-     * Checkpoint enumeration (sim/checkpoint.hh). The stack is the
-     * only variable-length structure in a checkpoint, so its length is
-     * serialized explicitly and validated against the fixed depth on
-     * decode (io.fail() rejects a corrupt length).
+     * State enumeration (common/state_io.hh), carried only. The stack
+     * is the only variable-length structure a checkpoint carries, so
+     * its length is carried explicitly and validated against the fixed
+     * depth on decode (io.fail() rejects a corrupt length).
      */
     template <typename IO>
     void
-    ckptVisit(IO &io)
+    visitState(IO &io)
     {
-        std::uint64_t n = stack_.size();
-        io.scalar(n);
-        if (n > depth_) {
-            io.fail();
-            return;
+        if constexpr (IO::kCarries) {
+            std::uint64_t n = stack_.size();
+            io.carry(n);
+            if (n > depth_) {
+                io.fail();
+                return;
+            }
+            stack_.resize(static_cast<std::size_t>(n));
+            for (Addr &a : stack_)
+                io.carry(a);
         }
-        stack_.resize(static_cast<std::size_t>(n));
-        for (Addr &a : stack_)
-            io.scalar(a);
     }
 
   private:

@@ -81,22 +81,24 @@ class PerceptronPredictor
     void resetStats();
 
     /**
-     * Checkpoint enumeration (sim/checkpoint.hh): one template drives
-     * both encode and decode — weight table, per-thread histories and
-     * the statistics counters. The size marker turns a table-geometry
-     * mismatch into a decode error.
+     * State enumeration (common/state_io.hh): the weight table and the
+     * statistics counters are carried only, the per-thread history
+     * registers carried and digested. The size marker turns a
+     * table-geometry mismatch into a decode error.
      */
     template <typename IO>
     void
-    ckptVisit(IO &io)
+    visitState(IO &io)
     {
         io.size(weights_.size());
-        for (std::int8_t &w : weights_)
-            io.scalar(w);
+        if constexpr (IO::kCarries) {
+            for (std::int8_t &w : weights_)
+                io.carry(w);
+        }
         for (std::uint64_t &h : history_)
-            io.scalar(h);
-        io.scalar(lookups_);
-        io.scalar(mispredicts_);
+            io.both("history", h);
+        io.carry(lookups_);
+        io.carry(mispredicts_);
     }
 
   private:

@@ -415,19 +415,20 @@ Auditor::auditRunahead(const core::SmtCore &core, AuditReport &report)
 {
     const Cycle now = core.cycle_;
     for (ThreadId tid = 0; tid < core.config_.numThreads; ++tid) {
-        const auto v = core.raEngine_.episodeView(tid);
-        if (v.drainOnly && !v.active) {
+        const auto &episode = core.raEngine_.threads_[tid];
+        if (episode.drainOnly && !episode.active) {
             fail(report, now, tid, "runahead",
                  "episode marked drainOnly while inactive");
         }
-        if (v.active && v.resumeSeq > core.threads_[tid].nextSeq) {
+        if (episode.active &&
+            episode.resumeSeq > core.threads_[tid].nextSeq) {
             std::ostringstream os;
-            os << "episode resumeSeq " << v.resumeSeq
+            os << "episode resumeSeq " << episode.resumeSeq
                << " is ahead of the fetch cursor "
                << core.threads_[tid].nextSeq;
             fail(report, now, tid, "runahead", os.str());
         }
-        if (!v.active) {
+        if (!episode.active) {
             // Outside an episode nothing speculative may survive: no
             // live runahead-flagged instruction, and an empty runahead
             // cache (cleared at exit).
@@ -449,10 +450,10 @@ Auditor::auditRunahead(const core::SmtCore &core, AuditReport &report)
                    << "outside an episode";
                 fail(report, now, tid, "runahead", os.str());
             }
-            if (core.raEngine_.cache().occupancy(tid)) {
+            if (core.raEngine_.raCache_.occupancy(tid)) {
                 std::ostringstream os;
                 os << "runahead cache holds "
-                   << core.raEngine_.cache().occupancy(tid)
+                   << core.raEngine_.raCache_.occupancy(tid)
                    << " lines outside an episode";
                 fail(report, now, tid, "runahead", os.str());
             }

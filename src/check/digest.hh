@@ -1,22 +1,12 @@
 /**
  * @file
- * Deterministic state digests: an incremental FNV-1a hash over a
- * canonical enumeration of the core's architectural and key
- * microarchitectural state, sampled every `--digest-window` cycles
- * into the obs telemetry stream.
- *
- * The enumeration is *mode-invariant by construction*: it visits only
- * state that is bit-identical across the host-side implementation grid
- * (cycle-skip on/off, engine-checkpoint save/restore) at matched window
- * boundaries. That means no host-clock values (a skipped span samples
- * with the clock still at the span start), no physical-register
- * *numbers* (which register a rename draws is an artifact of free-list
- * order, not architectural state — the maps are digested by entry kind
- * and producer readiness instead), no per-cycle integrals (skipTo
- * integrates them span-at-once), and no issue-queue slot indices. Two
- * runs of the same configuration in any mode must therefore produce
- * byte-identical digest streams — and `ratsim verify` bisects the
- * first window where they do not.
+ * Deterministic state digests: an FNV-1a hash over the digested fields
+ * of the core's one state enumeration (core/state.hh), sampled every
+ * `--digest-window` cycles into the obs telemetry stream. The field
+ * tags make the digest mode-invariant by construction (see
+ * core/state.hh), so two runs of one configuration in any host mode
+ * produce byte-identical digest streams — and `ratsim verify` bisects
+ * the first window where they do not.
  */
 
 #ifndef RAT_CHECK_DIGEST_HH
@@ -35,30 +25,23 @@ class SmtCore;
 namespace rat::check {
 
 /**
- * The canonical state enumeration. A class (not free functions) so it
- * can be a friend of SmtCore; stateless.
+ * Digest and dump entry points over SmtCore::visitState; stateless.
+ * The core is taken by non-const reference only because the one
+ * enumeration also drives checkpoint restore; the digest and the dump
+ * never write.
  */
 class StateHasher
 {
   public:
-    /** FNV-1a digest of the core's current canonical state. */
-    static std::uint64_t digest(const core::SmtCore &core);
+    /** FNV-1a digest of the core's digested state. */
+    static std::uint64_t digest(core::SmtCore &core);
 
     /**
-     * The same enumeration rendered as labelled text, one field per
-     * line — the state dump `ratsim verify` prints for both sides of
-     * the first divergent cycle.
+     * The same fields rendered as labelled text, one field per line —
+     * the state dump `ratsim verify` prints for both sides of the first
+     * divergent cycle.
      */
-    static std::string describe(const core::SmtCore &core);
-
-  private:
-    /**
-     * The single enumeration both entry points share (friendship with
-     * SmtCore covers member templates). Instantiated only in
-     * digest.cc, once per sink type.
-     */
-    template <typename Sink>
-    static void visit(Sink &sink, const core::SmtCore &core);
+    static std::string describe(core::SmtCore &core);
 };
 
 /**
@@ -86,7 +69,7 @@ class DigestCollector
     Cycle nextAt() const { return nextAt_; }
 
     /** Digest the core for the window ending at nextAt(). */
-    void sampleAt(const core::SmtCore &core);
+    void sampleAt(core::SmtCore &core);
 
     /**
      * Also capture a full state dump at the boundary @p cycle (the

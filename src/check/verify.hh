@@ -4,7 +4,8 @@
  * configuration across the host-side mode grid — cycle skipping on
  * (the reference) and off, for every runahead variant when the policy
  * is runahead-capable — plus a save/restore leg that round-trips the
- * engine's episode checkpoints every few cycles. All legs must produce
+ * runahead engine's state through the checkpoint writer and reader
+ * every few cycles. All legs must produce
  * byte-identical state-digest streams (see digest.hh for why that is
  * the right equivalence).
  *
@@ -42,7 +43,7 @@ struct VerifyOptions {
      * must detect it and bisect to the first divergent boundary.
      */
     Cycle mutateAt = 0;
-    /** Episode-checkpoint round-trip interval of the save/restore leg. */
+    /** Engine-state round-trip interval of the save/restore leg. */
     Cycle checkpointEvery = 61;
 };
 

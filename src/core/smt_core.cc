@@ -333,14 +333,12 @@ SmtCore::tick()
 {
     // Verify-mode hooks (both disarmed in normal runs): the fault
     // injection fires at the first tick at or after its cycle, and the
-    // save/restore leg round-trips the engine's episode checkpoint.
+    // save/restore leg round-trips the engine's carried state.
     if (mutateAt_ != kNoCycle && cycle_ >= mutateAt_)
         applyMutation();
-    if (ckptEvery_ && cycle_ % ckptEvery_ == 0) {
-        const bool ok =
-            raEngine_.decodeEpisodes(raEngine_.encodeEpisodes());
-        RAT_ASSERT(ok, "episode checkpoint blob failed to decode");
-    }
+    if (ckptEvery_ && cycle_ % ckptEvery_ == 0 &&
+        !raEngine_.roundTrip(config_.numThreads))
+        panic("runahead engine state failed to round-trip");
 
     tickActivity_ = false;
     policy_.beginCycle(*this);

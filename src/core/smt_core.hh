@@ -61,11 +61,6 @@ namespace rat::check {
 class Auditor;
 class DigestCollector;
 class Mutator;
-class StateHasher;
-}
-
-namespace rat::sim {
-class CheckpointCodec;
 }
 
 namespace rat::core {
@@ -252,12 +247,21 @@ class SmtCore
 
     /**
      * Verify-mode save/restore leg: every @p n cycles, round-trip the
-     * runahead engine's episode state through encode/decodeEpisodes().
-     * A lossless codec makes this a perfect no-op (digest streams stay
-     * identical to an untouched run); any dropped state shows up as a
-     * bisected divergence. 0 disables.
+     * runahead engine's carried state (RunaheadEngine::roundTrip). A
+     * lossless enumeration makes this a perfect no-op (digest streams
+     * stay identical to an untouched run); any dropped state shows up
+     * as a bisected divergence. 0 disables.
      */
     void setEngineCheckpointInterval(Cycle n) { ckptEvery_ = n; }
+
+    /**
+     * The core's one state enumeration (common/state_io.hh), defined
+     * in core/state.hh: every field tagged carried, digested or both.
+     * Driven by check::StateHasher (digests, state dumps) and
+     * sim::CheckpointCodec (encode, restore).
+     */
+    template <typename IO>
+    void visitState(IO &io);
 
     /**
      * Print a one-line diagnostic description of a thread's ROB head to
@@ -274,15 +278,11 @@ class SmtCore
     void squashYoungerThan(ThreadId tid, InstSeq seq);
 
   private:
-    // The self-checking subsystem (src/check/) enumerates and audits
-    // private core state read-only; the Mutator is the MutationCheck
-    // test hook that deliberately corrupts it.
+    // The self-checking subsystem (src/check/) audits private core
+    // state read-only; the Mutator is the MutationCheck test hook that
+    // deliberately corrupts it.
     friend class ::rat::check::Auditor;
-    friend class ::rat::check::StateHasher;
     friend class ::rat::check::Mutator;
-    // The sampled-simulation checkpoint codec (sim/checkpoint.hh)
-    // saves/restores the functional post-prewarm state.
-    friend class ::rat::sim::CheckpointCodec;
 
     // Per-thread microarchitectural state.
     struct ThreadState {

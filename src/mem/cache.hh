@@ -104,28 +104,29 @@ class Cache
     void resetStats();
 
     /**
-     * Checkpoint enumeration (sim/checkpoint.hh): the one template
-     * below drives both encode (the IO reads every field) and decode
-     * (the IO assigns it), so the two directions cannot drift apart.
-     * Covers the full replacement state plus the statistics counters —
-     * a restored cache is indistinguishable from the walked original,
-     * including in state digests. The leading size marker makes a
-     * geometry mismatch a decode error instead of silent corruption.
+     * State enumeration (common/state_io.hh). The replacement state is
+     * carried only: a restored cache must be indistinguishable from
+     * the walked original, but digesting every line at every boundary
+     * would cost a full cache walk. The statistics counters are
+     * carried and digested. The size marker makes a geometry mismatch
+     * a decode error instead of silent corruption.
      */
     template <typename IO>
     void
-    ckptVisit(IO &io)
+    visitState(IO &io)
     {
         io.size(lines_.size());
-        for (Line &l : lines_) {
-            io.scalar(l.tag);
-            io.scalar(l.valid);
-            io.scalar(l.lastUse);
-            io.scalar(l.readyAt);
+        if constexpr (IO::kCarries) {
+            for (Line &l : lines_) {
+                io.carry(l.tag);
+                io.carry(l.valid);
+                io.carry(l.lastUse);
+                io.carry(l.readyAt);
+            }
         }
-        io.scalar(hits_);
-        io.scalar(misses_);
-        io.scalar(evictions_);
+        io.both("hits", hits_);
+        io.both("misses", misses_);
+        io.both("evictions", evictions_);
     }
 
   private:

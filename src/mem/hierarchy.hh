@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 
 #include "common/types.hh"
 #include "mem/cache.hh"
@@ -133,6 +134,42 @@ class MemoryHierarchy
 
     /** Configured full-miss latency. */
     unsigned memLatency() const { return memLatency_; }
+
+    /**
+     * State enumeration (common/state_io.hh). Cache contents follow
+     * Cache::visitState. The per-thread statistics and the MSHR files
+     * are digested only: a checkpoint is taken with no fill in flight,
+     * and a functional walk leaves the statistics at zero.
+     */
+    template <typename IO>
+    void
+    visitState(IO &io, Cycle now, unsigned numThreads)
+    {
+        for (ThreadId tid = 0; tid < numThreads; ++tid) {
+            const ThreadMemStats &ms = stats_[tid];
+            io.section("mem.thread");
+            io.digest("loads", ms.loads);
+            io.digest("stores", ms.stores);
+            io.digest("l1dMisses", ms.l1dMisses);
+            io.digest("l2DemandMisses", ms.l2DemandMisses);
+            io.digest("ifetchL1Misses", ms.ifetchL1Misses);
+            io.digest("ifetchL2Misses", ms.ifetchL2Misses);
+            io.digest("ifetchPrefetches", ms.ifetchPrefetches);
+            io.digest("raMemPrefetches", ms.raMemPrefetches);
+            io.digest("raL2Prefetches", ms.raL2Prefetches);
+        }
+        io.section("mem.mshrs");
+        for (const MshrFile *m : {&l1iMshrs_, &l1dMshrs_, &l2Mshrs_}) {
+            io.digest("occupancy", m->occupancy(now));
+            io.digest("earliestFill", m->earliestCompletion(now));
+        }
+        io.section("mem.l1i");
+        l1i_.visitState(io);
+        io.section("mem.l1d");
+        l1d_.visitState(io);
+        io.section("mem.l2");
+        l2_.visitState(io);
+    }
 
     /**
      * Attach/detach the event tracer (nullptr = off). Observation

@@ -1,30 +1,9 @@
 #include "runahead/engine.hh"
 
-#include <algorithm>
-#include <sstream>
-#include <vector>
-
 #include "common/logging.hh"
+#include "common/state_io.hh"
 
 namespace rat::runahead {
-
-namespace {
-
-/**
- * Strong per-element mix (splitmix64 finalizer) summed commutatively:
- * the suppression sets live in unordered containers, so their view and
- * digest contribution must not depend on iteration order.
- */
-std::uint64_t
-mixSeq(std::uint64_t v)
-{
-    v += 0x9E3779B97F4A7C15ull;
-    v = (v ^ (v >> 30)) * 0xBF58476D1CE4E5B9ull;
-    v = (v ^ (v >> 27)) * 0x94D049BB133111EBull;
-    return v ^ (v >> 31);
-}
-
-} // namespace
 
 RunaheadEngine::RunaheadEngine(const core::RatConfig &cfg)
     : policy_(makeRunaheadPolicy(cfg)), raCache_(cfg.runaheadCacheLines)
@@ -103,80 +82,15 @@ RunaheadEngine::exit(ThreadId tid, std::uint64_t prefetch_count)
     return out;
 }
 
-RunaheadEngine::EpisodeView
-RunaheadEngine::episodeView(ThreadId tid) const
-{
-    const ThreadEpisode &t = threads_[tid];
-    EpisodeView v;
-    v.active = t.active;
-    v.drainOnly = t.drainOnly;
-    v.pendingDrain = t.pendingDrain;
-    v.exitAt = t.exitAt;
-    v.fillAt = t.fillAt;
-    v.resumeSeq = t.resumeSeq;
-    v.entryPc = t.entryPc;
-    v.histCheckpoint = t.histCheckpoint;
-    v.prefetchSnapshot = t.prefetchSnapshot;
-    v.lastVetoSeq = t.lastVetoSeq;
-    v.suppressedLoads = t.suppressedLoads.size();
-    for (InstSeq seq : t.suppressedLoads)
-        v.suppressedHash += mixSeq(seq);
-    return v;
-}
-
-std::string
-RunaheadEngine::encodeEpisodes() const
-{
-    std::ostringstream out;
-    out << "ratck1 " << threads_.size() << "\n";
-    for (const ThreadEpisode &t : threads_) {
-        out << (t.active ? 1 : 0) << ' ' << (t.drainOnly ? 1 : 0) << ' '
-            << (t.pendingDrain ? 1 : 0) << ' ' << t.exitAt << ' '
-            << t.fillAt << ' ' << t.resumeSeq << ' ' << t.entryPc << ' '
-            << t.histCheckpoint << ' ' << t.prefetchSnapshot << ' '
-            << t.lastVetoSeq << ' ' << t.suppressedLoads.size();
-        std::vector<InstSeq> sorted(t.suppressedLoads.begin(),
-                                    t.suppressedLoads.end());
-        std::sort(sorted.begin(), sorted.end());
-        for (InstSeq seq : sorted)
-            out << ' ' << seq;
-        out << "\n";
-    }
-    return out.str();
-}
-
 bool
-RunaheadEngine::decodeEpisodes(const std::string &blob)
+RunaheadEngine::roundTrip(unsigned numThreads)
 {
-    std::istringstream in(blob);
-    std::string magic;
-    std::size_t count = 0;
-    if (!(in >> magic >> count) || magic != "ratck1" ||
-        count != threads_.size())
-        return false;
-
-    std::array<ThreadEpisode, kMaxThreads> restored{};
-    for (ThreadEpisode &t : restored) {
-        int active = 0;
-        int drain_only = 0;
-        int pending_drain = 0;
-        std::size_t suppressed = 0;
-        if (!(in >> active >> drain_only >> pending_drain >> t.exitAt >>
-              t.fillAt >> t.resumeSeq >> t.entryPc >> t.histCheckpoint >>
-              t.prefetchSnapshot >> t.lastVetoSeq >> suppressed))
-            return false;
-        t.active = active != 0;
-        t.drainOnly = drain_only != 0;
-        t.pendingDrain = pending_drain != 0;
-        for (std::size_t i = 0; i < suppressed; ++i) {
-            InstSeq seq = 0;
-            if (!(in >> seq))
-                return false;
-            t.suppressedLoads.insert(seq);
-        }
-    }
-    threads_ = std::move(restored);
-    return true;
+    state::Encoder out{};
+    visitState(out, numThreads);
+    threads_ = {};
+    state::Decoder in{state::Source::of(out.stream.out)};
+    visitState(in, numThreads);
+    return out.ok && in.ok && in.stream.atEnd();
 }
 
 const char *

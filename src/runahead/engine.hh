@@ -32,7 +32,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_set>
 
 #include "common/types.hh"
@@ -40,6 +39,10 @@
 #include "runahead/policy.hh"
 #include "runahead/racache.hh"
 #include "trace/microop.hh"
+
+namespace rat::check {
+class Auditor;
+}
 
 namespace rat::runahead {
 
@@ -167,56 +170,63 @@ class RunaheadEngine
     // --- introspection ----------------------------------------------------
 
     /**
-     * Read-only snapshot of one thread's episode state for the
-     * self-checking subsystem (src/check/): the auditor cross-checks it
-     * against the pipeline, and the state digest folds it in. The
-     * suppression set is summarized order-independently (size + a
-     * commutative per-element hash) so the view is deterministic even
-     * though the underlying container is unordered.
+     * State enumeration (common/state_io.hh) of threads [0, @p
+     * numThreads): every episode field is carried, and all but the
+     * veto dedup marker are also digested, the suppression set in
+     * ascending order. The runahead-cache occupancy and the engine
+     * counters are digested only: a checkpoint is taken outside any
+     * episode, where both are empty. `SmtCore::visitState` drives this
+     * for digests and checkpoints, and roundTrip() for `ratsim
+     * verify`'s save/restore leg.
      */
-    struct EpisodeView {
-        bool active = false;
-        bool drainOnly = false;
-        bool pendingDrain = false;
-        Cycle exitAt = 0;
-        Cycle fillAt = 0;
-        InstSeq resumeSeq = 0;
-        Addr entryPc = 0;
-        std::uint64_t histCheckpoint = 0;
-        std::uint64_t prefetchSnapshot = 0;
-        InstSeq lastVetoSeq = 0;
-        std::uint64_t suppressedLoads = 0;
-        /** Commutative FNV mix of the suppression set's elements. */
-        std::uint64_t suppressedHash = 0;
-    };
-
-    EpisodeView episodeView(ThreadId tid) const;
+    template <typename IO>
+    void
+    visitState(IO &io, unsigned numThreads)
+    {
+        for (ThreadId tid = 0; tid < numThreads; ++tid) {
+            ThreadEpisode &t = threads_[tid];
+            io.section("runahead.thread");
+            io.both("active", t.active);
+            io.both("drainOnly", t.drainOnly);
+            io.both("pendingDrain", t.pendingDrain);
+            io.both("exitAt", t.exitAt);
+            io.both("fillAt", t.fillAt);
+            io.both("resumeSeq", t.resumeSeq);
+            io.both("entryPc", t.entryPc);
+            io.both("histCheckpoint", t.histCheckpoint);
+            io.both("prefetchSnapshot", t.prefetchSnapshot);
+            io.carry(t.lastVetoSeq);
+            io.sortedSet("suppressedLoads", t.suppressedLoads);
+            io.digest("raCacheLines", raCache_.occupancy(tid));
+        }
+        io.section("runahead.stats");
+        io.digest("episodes", stats_.episodes);
+        io.digest("uselessEpisodes", stats_.uselessEpisodes);
+        io.digest("suppressedEntries", stats_.suppressedEntries);
+        io.digest("drainEpisodes", stats_.drainEpisodes);
+        io.digest("cappedExits", stats_.cappedExits);
+        io.digest("executedInRunahead", stats_.executedInRunahead);
+    }
 
     /**
-     * Serialize every thread's episode state into a deterministic text
-     * blob (the suppression sets are emitted sorted). Together with
-     * decodeEpisodes() this is the engine half of ROADMAP item 1's
-     * checkpoint/restore: `ratsim verify`'s save/restore leg round-trips
-     * the blob mid-run and proves via digest identity that nothing was
-     * lost.
+     * The save/restore leg of `ratsim verify`: write threads [0, @p
+     * numThreads)' carried state with the checkpoint encoder, wipe
+     * every episode, and read it back with the decoder. A field the
+     * enumeration fails to carry comes back default, and the digest
+     * stream shows where. False if the bytes did not read back whole.
      */
-    std::string encodeEpisodes() const;
-
-    /**
-     * Restore episode state from an encodeEpisodes() blob. Returns
-     * false (leaving the engine untouched) on a malformed blob.
-     */
-    bool decodeEpisodes(const std::string &blob);
+    bool roundTrip(unsigned numThreads);
 
     const EngineStats &stats() const { return stats_; }
     /** Reset engine counters (episode state is preserved). */
     void resetStats() { stats_ = {}; }
     /** The selected variant's canonical name. */
     const char *variantName() const;
-    /** The runahead cache (tests). */
-    const RunaheadCache &cache() const { return raCache_; }
 
   private:
+    /** Reads episode and runahead-cache state for its invariants. */
+    friend class ::rat::check::Auditor;
+
     struct ThreadEpisode {
         bool active = false;
         bool drainOnly = false;

@@ -1,38 +1,38 @@
 /**
  * @file
- * Architectural checkpoint codec ("ratck2") for sampled simulation and
- * for the post-prewarm state exact cells share through a cache
- * directory (sim/sampled.hh, simulateCell).
+ * Architectural checkpoint codec for sampled simulation and for the
+ * post-prewarm state exact cells share through a cache directory
+ * (sim/sampled.hh, simulateCell). Files are named `<fileKey>.ratck2`
+ * (sim::checkpointPath); the byte layout inside is "ratck3".
  *
  * A checkpoint captures the *functional post-prewarm* state of one
- * simulation: trace positions, branch predictor, BTB, return-address
- * stacks and all three cache levels, plus the runahead engine's episode
- * blob (the "ratck1" codec from the verify subsystem, nested whole).
- * It deliberately captures nothing of the timing pipeline — encoding is
- * only legal when the pipeline is provably empty (no in-flight
- * instructions, no outstanding fills, no runahead episodes), which is
- * exactly the state `SmtCore::prewarm` leaves behind. That restriction
- * is what lets one checkpoint be restored into simulators with
- * *different* policy / ROB configurations: the walk that builds it
- * never touches the structures those knobs size.
+ * simulation: the carried fields of the core's one state enumeration
+ * (core/state.hh) — trace positions, return-address stacks, branch
+ * predictor, BTB, all three cache levels and the runahead engine's
+ * episode state. It deliberately captures nothing of the timing
+ * pipeline — encoding is only legal when the pipeline is provably
+ * empty (no in-flight instructions, no outstanding fills, no runahead
+ * episodes), which is exactly the state `SmtCore::prewarm` leaves
+ * behind. That restriction is what lets one checkpoint be restored
+ * into simulators with *different* policy / ROB configurations: the
+ * walk that builds it never touches the structures those knobs size.
  *
- * Drift-proofing: every component's state is enumerated by one
- * `ckptVisit(IO&)` member template that drives both encode and decode,
- * and the blob embeds the digest subsystem's `StateHasher` hash of the
- * source core. `restore()` recomputes that hash on the restored target
- * and refuses on mismatch — so the checkpointed state and the digested
- * state cannot silently drift apart, and a failed restore falls back
- * to a (bit-identical) fresh functional walk instead of corrupting a
- * run.
+ * Drift-proofing: encode and restore are the checkpoint writer and
+ * reader of common/state_io.hh walking that one enumeration, which
+ * also feeds the state digest; the blob embeds the digest of the
+ * source core. `restore()` recomputes the digest on the restored
+ * target and refuses on mismatch — so the carried state and the
+ * digested state cannot silently drift apart, and a failed restore
+ * falls back to a (bit-identical) fresh functional walk instead of
+ * corrupting a run.
  *
- * Format (all integers u64 little-endian):
- *   "ratck2" magic | visit(core, mem) fields | engine episode blob
- *   (length-prefixed "ratck1" text) | StateHasher digest
+ * Format (every value a u64, little-endian):
+ *   "ratck3" magic | carried fields of SmtCore::visitState, in
+ *   enumeration order | StateHasher digest
  *
- * Every encode and restore runs through one writer/reader pair
- * parameterised on its byte sink/source: a string for the in-memory
- * API (the sampled registry, tests) and a stdio stream for the
- * streamed API, which moves the ~1.6 MB blob through the file in
+ * The writer and reader take a byte sink/source: a string for the
+ * in-memory API (the sampled registry, tests) and a stdio stream for
+ * the streamed API, which moves the ~1.6 MB blob through the file in
  * small chunks and never holds it whole.
  */
 
@@ -46,22 +46,12 @@
 
 #include "common/types.hh"
 
-namespace rat::core {
-class SmtCore;
-}
-namespace rat::mem {
-class MemoryHierarchy;
-}
-
 namespace rat::sim {
 
 struct SimConfig;
 class Simulator;
 
-/**
- * Stateless encoder/decoder. A class (not free functions) so it can be
- * a friend of SmtCore, mirroring check::StateHasher.
- */
+/** Stateless encoder/decoder. */
 class CheckpointCodec
 {
   public:
@@ -109,25 +99,6 @@ class CheckpointCodec
     static std::uint64_t fileKey(const SimConfig &cfg,
                                  const std::vector<std::string> &programs,
                                  InstSeq position);
-
-  private:
-    /**
-     * The single state enumeration encode and decode share (friendship
-     * with SmtCore covers member templates). Instantiated only in
-     * checkpoint.cc, once per IO type.
-     */
-    template <typename IO>
-    static void visit(IO &io, core::SmtCore &core,
-                      mem::MemoryHierarchy &mem);
-
-    /** The one encode body, writing into a string or stream sink. */
-    template <typename Sink>
-    static bool encodeInto(Simulator &sim, Sink sink);
-
-    /** The one restore body, reading a string or stream source. */
-    template <typename Source>
-    static bool restoreFrom(Simulator &sim, Source src,
-                            std::string *error);
 };
 
 } // namespace rat::sim

@@ -17,7 +17,7 @@
 #include <mutex>
 #include <optional>
 
-#include "check/fnv.hh"
+#include "common/fnv.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "report/result_cache.hh"
@@ -57,7 +57,7 @@ makeStreams(const SimConfig &cfg, const std::vector<std::string> &programs)
 std::uint64_t
 planKey(const SimConfig &cfg, const std::vector<std::string> &programs)
 {
-    check::Fnv64 h;
+    Fnv64 h;
     h.u64(0x706C616E31ULL); // "plan1"
     h.u64(cfg.seed);
     h.u64(cfg.prewarmInsts);
@@ -111,6 +111,11 @@ readFileBlob(const std::string &path, std::string &blob)
  * @p wantKey ("" if encoding was refused — callers fall back to a
  * fresh walk).
  *
+ * @p refused, when non-empty, is the blob for @p wantKey that failed
+ * to restore: unless another caller has already replaced it, it leaves
+ * the registry and is rebuilt by the walk — never re-read from its
+ * file, which the walk overwrites.
+ *
  * Serialized by the registry mutex: within one process the walk
  * happens once per workload identity and every later sample is a
  * registry hit. prewarm() is incremental (bit-identical to one-shot),
@@ -120,14 +125,18 @@ std::string
 ensureCheckpoints(const SimConfig &cfg,
                   const std::vector<std::string> &programs,
                   const trace::PhaseProfile &plan,
-                  const std::string &ckptDir, std::uint64_t wantKey)
+                  const std::string &ckptDir, std::uint64_t wantKey,
+                  const std::string &refused)
 {
     static std::map<std::uint64_t, std::string> blobs;
 
     std::lock_guard<std::mutex> lock(registryMutex());
     const auto hit = blobs.find(wantKey);
-    if (hit != blobs.end())
-        return hit->second;
+    if (hit != blobs.end()) {
+        if (refused.empty() || hit->second != refused)
+            return hit->second;
+        blobs.erase(hit);
+    }
 
     // Collect the samples still missing (memory, then files).
     std::vector<std::pair<InstSeq, std::uint64_t>> missing;
@@ -138,7 +147,8 @@ ensureCheckpoints(const SimConfig &cfg,
         if (blobs.count(key))
             continue;
         std::string blob;
-        if (!ckptDir.empty() &&
+        const bool trustFile = refused.empty() || key != wantKey;
+        if (trustFile && !ckptDir.empty() &&
             readFileBlob(checkpointPath(ckptDir, key), blob)) {
             blobs.emplace(key, std::move(blob));
             continue;
@@ -209,11 +219,16 @@ runOneSample(const SimConfig &cfg, const std::vector<std::string> &programs,
     const std::uint64_t key =
         CheckpointCodec::fileKey(cfg, programs, position);
 
+    // A refused checkpoint is rebuilt once (which also rewrites its
+    // file); should the fresh blob be refused too, the sample walks.
     SimResult result;
     bool ran = false;
-    const std::string blob =
-        ensureCheckpoints(cfg, programs, plan, ckptDir, key);
-    if (!blob.empty()) {
+    std::string refused;
+    for (int attempt = 0; attempt < 2 && !ran; ++attempt) {
+        const std::string blob =
+            ensureCheckpoints(cfg, programs, plan, ckptDir, key, refused);
+        if (blob.empty())
+            break;
         SimConfig restored = exec;
         restored.prewarmInsts = 0; // state comes from the checkpoint
         Simulator sim(restored, programs);
@@ -222,9 +237,9 @@ runOneSample(const SimConfig &cfg, const std::vector<std::string> &programs,
             result = sim.run();
             ran = true;
         } else {
-            warn("checkpoint restore failed (%s); falling back to a "
-                 "fresh functional walk",
-                 error.c_str());
+            warn("checkpoint restore failed (%s); %s", error.c_str(),
+                 attempt ? "walking the sample" : "rebuilding it");
+            refused = blob;
         }
     }
     if (!ran) {

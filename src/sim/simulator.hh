@@ -105,9 +105,9 @@ struct SimConfig {
      */
     Cycle mutateAtCycle = 0;
     /**
-     * Save/restore leg: round-trip the runahead engine's episode
-     * checkpoints every N measured cycles (must be digest-invisible;
-     * see SmtCore::setEngineCheckpointInterval). 0 = off.
+     * Save/restore leg: round-trip the runahead engine's carried state
+     * every N measured cycles (must be digest-invisible; see
+     * SmtCore::setEngineCheckpointInterval). 0 = off.
      */
     Cycle engineCheckpointEvery = 0;
     /**

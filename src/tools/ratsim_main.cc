@@ -130,9 +130,10 @@ usage()
         "                            N cycles into the measured window;\n"
         "                            verify must detect and bisect it\n"
         "                            (exit 1 on detection, 2 if missed)\n"
-        "  --checkpoint-every N      save/restore leg: round-trip the\n"
-        "                            engine episode checkpoints every N\n"
-        "                            cycles (default 61)\n"
+        "  --checkpoint-every N      save/restore leg: every N cycles,\n"
+        "                            round-trip the runahead engine's\n"
+        "                            state through the checkpoint writer\n"
+        "                            and reader (default 61)\n"
         "\n"
         "sweep options (comma-separated axes):\n"
         "  --policies A,B,...        techniques (default ICOUNT,RaT)\n"

@@ -13,7 +13,9 @@
  *    SimConfig serializes its window (so cached cells can never mix
  *    digested and undigested payloads under one key);
  *  - sensitivity: the verify hook's single-flip mutation changes every
- *    digest from the first post-mutation boundary on, and only those.
+ *    digest from the first post-mutation boundary on, and only those;
+ *  - the save/restore leg: round-tripping non-empty suppression sets
+ *    leaves the digest stream untouched.
  */
 
 #include <string>
@@ -118,6 +120,41 @@ TEST(DigestCheck, SingleFlipMutationDivergesFromItsBoundaryOn)
                 << "post-mutation boundary " << i << " agreed";
         }
     }
+}
+
+TEST(DigestCheck, SaveRestoreLegCarriesSuppressionSets)
+{
+    // The Fig. 4 no-prefetch ablation fills the engine's suppression
+    // sets, so the save/restore leg must carry non-empty sets through
+    // the checkpoint writer and reader without a digest changing.
+    sim::SimConfig cfg = digestConfig(true);
+    cfg.prewarmInsts = 50000;
+    cfg.warmupCycles = 1000;
+    cfg.measureCycles = 4000;
+    cfg.core.rat.disablePrefetch = true;
+    const obs::DigestTrack ref = runTrack(cfg);
+    ASSERT_FALSE(ref.samples.empty());
+
+    // Thread 0's set size, read from the state dump at each boundary
+    // until one is non-empty.
+    std::uint64_t suppressed = 0;
+    for (const obs::DigestSample &sample : ref.samples) {
+        sim::SimConfig capture = cfg;
+        capture.captureStateAtCycle = sample.cycle;
+        sim::Simulator sim(capture, {"art", "gzip"});
+        const std::string dump = sim.run().stateDump;
+        const std::string field = "\n  suppressedLoads = ";
+        const std::size_t at = dump.find(field);
+        ASSERT_NE(at, std::string::npos) << dump;
+        suppressed = std::stoull(dump.substr(at + field.size()));
+        if (suppressed)
+            break;
+    }
+    EXPECT_GT(suppressed, 0u);
+
+    sim::SimConfig roundTrip = cfg;
+    roundTrip.engineCheckpointEvery = 61;
+    EXPECT_TRUE(ref == runTrack(roundTrip));
 }
 
 } // namespace

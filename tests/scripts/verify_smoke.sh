@@ -2,9 +2,11 @@
 # Verify smoke test: `ratsim verify` on the MIX2 pair under RaT must
 # find the full host-side mode grid digest-identical — 3 ra-variants x
 # {noskip+event, save-restore} legs against the skip+event reference,
-# so exactly 6 legs; a grid that shrinks silently fails here — and,
-# with a deliberately seeded single-flip mutation, must detect the
-# divergence and bisect it to an exact first divergent cycle.
+# so exactly 6 legs; a grid that shrinks silently fails here — both
+# as is and with --no-prefetch (non-empty suppression sets in the
+# save/restore leg), and, with a deliberately seeded single-flip
+# mutation, must detect the divergence and bisect it to an exact
+# first divergent cycle.
 #
 # Usage: verify_smoke.sh /path/to/ratsim
 set -u
@@ -23,6 +25,16 @@ echo "== clean mode-grid verify (must pass) =="
     || fail "clean verify exited non-zero: $(cat "$WORK/clean.log")"
 grep -q "verify: mode grid consistent (6 legs" "$WORK/clean.log" \
     || fail "missing 6-leg consistency verdict: $(cat "$WORK/clean.log")"
+
+# The Fig. 4 no-prefetch ablation fills the runahead engine's
+# suppression sets, so its save/restore legs carry non-empty sets.
+echo "== clean --no-prefetch mode-grid verify (must pass) =="
+"$RATSIM" verify "${OPTS[@]}" --no-prefetch > "$WORK/noprefetch.log" 2>&1 \
+    || fail "--no-prefetch verify exited non-zero: \
+$(cat "$WORK/noprefetch.log")"
+grep -q "verify: mode grid consistent (6 legs" "$WORK/noprefetch.log" \
+    || fail "missing --no-prefetch 6-leg verdict: \
+$(cat "$WORK/noprefetch.log")"
 
 echo "== seeded-mutation verify (must fail with a bisected cycle) =="
 "$RATSIM" verify "${OPTS[@]}" --mutate-at 1500 \
@@ -46,4 +58,4 @@ grep -q -- "--- reference state at cycle" "$WORK/mutated.log" \
 grep -q -- "--- divergent state at cycle" "$WORK/mutated.log" \
     || fail "missing divergent state dump"
 
-echo "PASS: mode grid consistent clean, seeded mutation bisected"
+echo "PASS: mode grid consistent clean and --no-prefetch, seeded mutation bisected"

@@ -234,6 +234,12 @@ TEST(Checkpoint, RefusesCorruptBlobs)
     bad[0] ^= 0x40;
     EXPECT_TRUE(refused(bad));
 
+    // The previous layout's magic: a file of that era misses by file
+    // key, and is refused here should it be read anyway.
+    bad = good;
+    bad.replace(0, 6, "ratck2");
+    EXPECT_TRUE(refused(bad));
+
     // Flipped embedded digest (trailing u64): the restore-time
     // recomputation cannot match it.
     bad = good;
@@ -246,6 +252,37 @@ TEST(Checkpoint, RefusesCorruptBlobs)
 
     // Trailing bytes.
     EXPECT_TRUE(refused(good + '\0'));
+}
+
+TEST(Checkpoint, RestoredSimulatorReencodesToTheSameBytes)
+{
+    // Every carried field survives a restore bit for bit — including
+    // the cache lines, predictor weights and BTB LRU stamps the digest
+    // never hashes — from memory and from a file alike.
+    const SimConfig cfg = ckptConfig();
+    const std::string good = encodeAt(cfg);
+    SimConfig restored = cfg;
+    restored.prewarmInsts = 0;
+
+    {
+        Simulator target(restored, kMix);
+        std::string error;
+        ASSERT_TRUE(CheckpointCodec::restore(target, good, &error))
+            << error;
+        EXPECT_TRUE(CheckpointCodec::encode(target) == good);
+    }
+    {
+        const FilePtr in = fileHolding(good);
+        ASSERT_TRUE(in);
+        Simulator target(restored, kMix);
+        std::string error;
+        ASSERT_TRUE(CheckpointCodec::restore(target, in.get(), &error))
+            << error;
+        const FilePtr out(std::tmpfile());
+        ASSERT_TRUE(out);
+        ASSERT_TRUE(CheckpointCodec::encode(target, out.get()));
+        EXPECT_TRUE(contentsOf(out.get()) == good);
+    }
 }
 
 TEST(Checkpoint, ConcurrentWritersOfOneKeyNeverPublishATornFile)
@@ -490,6 +527,81 @@ TEST(CheckpointSharing, CorruptCheckpointFallsBackAndIsReplaced)
     Simulator target(restored, kMix);
     EXPECT_TRUE(CheckpointCodec::restore(target, in.get()));
     EXPECT_EQ(listCkptDir(dir.str()).ckpts.size(), 1u);
+    EXPECT_TRUE(listCkptDir(dir.str()).tmps.empty());
+}
+
+TEST(CheckpointSharing, RefusedSampledCheckpointIsRebuiltAndReplaced)
+{
+    // The sampled registry is process-wide and keyed by fileKey, so
+    // this test owns a seed no other test uses: its first lookup must
+    // read the corrupt files below, not a blob another test cached.
+    SimConfig cfg = sharingBase();
+    cfg.seed = 41;
+    cfg.sampled = true;
+    cfg.samplePhases = 2;
+    cfg.phaseWindow = 2048;
+    cfg.phaseSpanWindows = 8;
+    cfg.sampleWarmupCycles = 500;
+    cfg.sampleMeasureCycles = 2000;
+    const TempDir dir("ckpt_sampled_refused");
+    const std::string ckptDir = checkpointDirFor(dir.str());
+
+    // Every sample's file is structurally whole with a flipped
+    // embedded digest: only the restore-time digest check refuses it.
+    const trace::PhaseProfile &plan = samplePlanFor(cfg, kMix);
+    ASSERT_FALSE(plan.samples.empty());
+    std::vector<InstSeq> positions;
+    std::vector<std::pair<std::string, std::string>> files; // path, good
+    for (const trace::PhaseSample &sample : plan.samples) {
+        SimConfig at = cfg;
+        at.sampled = false;
+        at.prewarmInsts =
+            cfg.prewarmInsts + InstSeq{sample.windowIndex} * cfg.phaseWindow;
+        positions.push_back(at.prewarmInsts);
+        const std::string good = encodeAt(at);
+        std::string bad = good;
+        bad[bad.size() - 4] ^= 0x01;
+        const std::uint64_t key =
+            CheckpointCodec::fileKey(cfg, kMix, at.prewarmInsts);
+        ASSERT_TRUE(writeCheckpointFile(ckptDir, key, [&bad](std::FILE *o) {
+            return std::fwrite(bad.data(), 1, bad.size(), o) == bad.size();
+        }));
+        files.emplace_back(checkpointPath(ckptDir, key), good);
+    }
+
+    // Each sample's result is byte-identical to an exact run from its
+    // position (the sample metadata aside).
+    for (std::size_t i = 0; i < plan.samples.size(); ++i) {
+        SimConfig cell = cfg;
+        cell.sampleIndex = static_cast<int>(i);
+        const SimResult sampled = simulateCell(cell, kMix, ckptDir);
+
+        SimConfig exact = sharingBase();
+        exact.seed = cfg.seed;
+        exact.prewarmInsts = positions[i];
+        exact.warmupCycles = cfg.sampleWarmupCycles;
+        exact.measureCycles = cfg.sampleMeasureCycles;
+        Simulator sim(exact, kMix);
+        SimResult expected = sim.run();
+        expected.sampled = sampled.sampled;
+        EXPECT_EQ(report::toJson(sampled).dump(),
+                  report::toJson(expected).dump());
+    }
+
+    // Each refused file was rebuilt and replaced by one that restores.
+    SimConfig restored = cfg;
+    restored.sampled = false;
+    restored.prewarmInsts = 0;
+    for (const auto &[path, good] : files) {
+        const FilePtr in(std::fopen(path.c_str(), "rb"));
+        ASSERT_TRUE(in) << path;
+        EXPECT_TRUE(contentsOf(in.get()) == good) << path;
+        std::rewind(in.get());
+        Simulator target(restored, kMix);
+        std::string error;
+        EXPECT_TRUE(CheckpointCodec::restore(target, in.get(), &error))
+            << path << ": " << error;
+    }
     EXPECT_TRUE(listCkptDir(dir.str()).tmps.empty());
 }
 
