@@ -1,12 +1,12 @@
 /**
  * @file
- * Incremental 64-bit FNV-1a hasher: the state digests' byte sink
- * (common/state_io.hh) and the identity keys of checkpoints and phase
- * plans. The same constants as report::fnv1a64 (the cache-key hash),
- * but fed value-by-value: every value is decomposed into its 8
- * little-endian bytes, so a hash is a pure function of the value
- * sequence — independent of struct padding, host endianness and
- * compiler layout.
+ * Incremental 64-bit FNV-1a hasher, the project's one FNV-1a loop.
+ * `bytes()` folds raw bytes: report::fnv1a64 (the result-cache key and
+ * payload checksum) and the state digests' byte sink
+ * (common/state_io.hh) use it. `u64()` folds a value as its 8
+ * little-endian bytes, so the identity keys of checkpoints and phase
+ * plans are a pure function of the value sequence, independent of
+ * struct padding, host endianness and compiler layout.
  */
 
 #ifndef RAT_COMMON_FNV_HH

@@ -19,6 +19,9 @@
  *  - `io.section(name)`       a heading of the text dump;
  *  - `io.fail()`              a carried value the target cannot take.
  *
+ * Statistics records are visited through `digestCounters` over the
+ * counter table beside each struct (common/counters.hh).
+ *
  * Four users drive the enumeration: the FNV-1a digest and checkpoint
  * encode are one `Binary` writer over different byte sinks, checkpoint
  * restore is the same template over a byte source, and `TextDump`

@@ -13,9 +13,10 @@
  * with the clock parked at the span start); physical register
  * *numbers* are never visited (which register a rename draws is a
  * free-list artifact — the maps are digested by entry kind and
- * producer readiness); the per-cycle integrals and rotation cursors
- * are never visited (skipTo integrates them span-at-once); nor are
- * instruction uids, issue-queue slots and scheduler links.
+ * producer readiness); the per-cycle integrals are tagged not
+ * digested in kThreadStatsFields and the rotation cursors are never
+ * visited (skipTo integrates them span-at-once); nor are instruction
+ * uids, issue-queue slots and scheduler links.
  *
  * Checkpoints are only encoded with an empty pipeline, so the
  * in-flight instructions, occupancies and statistics are digested
@@ -117,23 +118,12 @@ SmtCore::visitState(IO &io)
         io.digest("lsqCount", lsq_.threadCount(tid));
         io.digest("lsqStores", lsq_.storeCount(tid));
 
-        // normalCycles/runaheadCycles and the reg-cycle integrals are
-        // deliberately absent: skipTo() integrates them span-at-once
-        // before the boundary loop, so their value at an interior
-        // boundary is a host-mode artifact. Any real divergence they
-        // could witness stems from digested instantaneous state.
+        // The cycle integrals are tagged not digested in
+        // kThreadStatsFields: skipTo() integrates them span-at-once
+        // before the boundary loop. Any real divergence they could
+        // witness stems from digested instantaneous state.
         io.section("thread.stats");
-        const ThreadStats &st = stats_[tid];
-        io.digest("committed", st.committedInsts);
-        io.digest("executed", st.executedInsts);
-        io.digest("fetched", st.fetchedInsts);
-        io.digest("pseudoRetired", st.pseudoRetired);
-        io.digest("invalidInsts", st.invalidInsts);
-        io.digest("runaheadEntries", st.runaheadEntries);
-        io.digest("uselessEpisodes", st.uselessRunaheadEpisodes);
-        io.digest("branches", st.branches);
-        io.digest("branchMispredicts", st.branchMispredicts);
-        io.digest("squashed", st.squashedInsts);
+        digestCounters(io, kThreadStatsFields, stats_[tid]);
 
         io.section("thread.maps");
         detail::visitMap(io, t.intMap, intRegs_);

@@ -8,6 +8,8 @@
 
 #include <cstdint>
 
+#include "common/counters.hh"
+
 namespace rat::core {
 
 /** Counters for one hardware thread. */
@@ -71,6 +73,29 @@ struct ThreadStats {
                    : 0.0;
     }
 };
+
+/**
+ * Every ThreadStats field (common/counters.hh). The four cycle
+ * integrals are not digested: skipTo() integrates them span-at-once,
+ * so their value at an interior boundary is a host-mode artifact.
+ */
+inline constexpr Counter<ThreadStats> kThreadStatsFields[] = {
+    {"committedInsts", &ThreadStats::committedInsts},
+    {"executedInsts", &ThreadStats::executedInsts},
+    {"fetchedInsts", &ThreadStats::fetchedInsts},
+    {"pseudoRetired", &ThreadStats::pseudoRetired},
+    {"invalidInsts", &ThreadStats::invalidInsts},
+    {"runaheadEntries", &ThreadStats::runaheadEntries},
+    {"uselessRunaheadEpisodes", &ThreadStats::uselessRunaheadEpisodes},
+    {"runaheadCycles", &ThreadStats::runaheadCycles, false},
+    {"normalCycles", &ThreadStats::normalCycles, false},
+    {"branches", &ThreadStats::branches},
+    {"branchMispredicts", &ThreadStats::branchMispredicts},
+    {"squashedInsts", &ThreadStats::squashedInsts},
+    {"normalRegCycles", &ThreadStats::normalRegCycles, false},
+    {"runaheadRegCycles", &ThreadStats::runaheadRegCycles, false},
+};
+static_assert(coversRecord(kThreadStatsFields));
 
 } // namespace rat::core
 

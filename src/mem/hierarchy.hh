@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <initializer_list>
 
+#include "common/counters.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
 #include "obs/trace.hh"
@@ -61,6 +62,20 @@ struct ThreadMemStats {
     /** Runahead accesses satisfied by L2 (warm L1 only). */
     std::uint64_t raL2Prefetches = 0;
 };
+
+/** Every ThreadMemStats field (common/counters.hh). */
+inline constexpr Counter<ThreadMemStats> kThreadMemStatsFields[] = {
+    {"loads", &ThreadMemStats::loads},
+    {"stores", &ThreadMemStats::stores},
+    {"l1dMisses", &ThreadMemStats::l1dMisses},
+    {"l2DemandMisses", &ThreadMemStats::l2DemandMisses},
+    {"ifetchL1Misses", &ThreadMemStats::ifetchL1Misses},
+    {"ifetchL2Misses", &ThreadMemStats::ifetchL2Misses},
+    {"ifetchPrefetches", &ThreadMemStats::ifetchPrefetches},
+    {"raMemPrefetches", &ThreadMemStats::raMemPrefetches},
+    {"raL2Prefetches", &ThreadMemStats::raL2Prefetches},
+};
+static_assert(coversRecord(kThreadMemStatsFields));
 
 /**
  * The full memory system seen by the SMT core. All hardware threads share
@@ -146,17 +161,8 @@ class MemoryHierarchy
     visitState(IO &io, Cycle now, unsigned numThreads)
     {
         for (ThreadId tid = 0; tid < numThreads; ++tid) {
-            const ThreadMemStats &ms = stats_[tid];
             io.section("mem.thread");
-            io.digest("loads", ms.loads);
-            io.digest("stores", ms.stores);
-            io.digest("l1dMisses", ms.l1dMisses);
-            io.digest("l2DemandMisses", ms.l2DemandMisses);
-            io.digest("ifetchL1Misses", ms.ifetchL1Misses);
-            io.digest("ifetchL2Misses", ms.ifetchL2Misses);
-            io.digest("ifetchPrefetches", ms.ifetchPrefetches);
-            io.digest("raMemPrefetches", ms.raMemPrefetches);
-            io.digest("raL2Prefetches", ms.raL2Prefetches);
+            digestCounters(io, kThreadMemStatsFields, stats_[tid]);
         }
         io.section("mem.mshrs");
         for (const MshrFile *m : {&l1iMshrs_, &l1dMshrs_, &l2Mshrs_}) {

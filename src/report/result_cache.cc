@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/fault.hh"
+#include "common/fnv.hh"
 #include "common/logging.hh"
 #include "report/serialize.hh"
 
@@ -81,12 +82,9 @@ tmpDirsOf(const std::string &dir)
 std::uint64_t
 fnv1a64(const std::string &text)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
+    Fnv64 hash;
+    hash.bytes(text.data(), text.size());
+    return hash.value();
 }
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))

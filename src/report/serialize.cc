@@ -1,6 +1,10 @@
 #include "report/serialize.hh"
 
 #include <limits>
+#include <optional>
+#include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "policy/factory.hh"
 #include "runahead/variant.hh"
@@ -11,37 +15,35 @@ namespace rat::report {
 
 namespace {
 
-// Checked member extraction: each reader returns false when the member
-// is absent or has the wrong type, leaving @p out untouched.
+// Checked value extraction, overloaded on the target type: each reader
+// returns false when the value has the wrong type, is out of the
+// target's range or names no known value, leaving @p out untouched.
 
 bool
-getU64(const Json &obj, const char *key, std::uint64_t &out)
+read(const Json &v, std::uint64_t &out)
 {
-    const Json *v = obj.find(key);
-    if (!v || !v->isU64())
+    if (!v.isU64())
         return false;
-    out = v->asU64();
+    out = v.asU64();
     return true;
 }
 
 bool
-getUnsigned(const Json &obj, const char *key, unsigned &out)
+read(const Json &v, unsigned &out)
 {
     std::uint64_t wide = 0;
-    if (!getU64(obj, key, wide) ||
-        wide > std::numeric_limits<unsigned>::max())
+    if (!read(v, wide) || wide > std::numeric_limits<unsigned>::max())
         return false;
     out = static_cast<unsigned>(wide);
     return true;
 }
 
 bool
-getInt(const Json &obj, const char *key, int &out)
+read(const Json &v, int &out)
 {
-    const Json *v = obj.find(key);
-    if (!v || !v->isI64())
+    if (!v.isI64())
         return false;
-    const std::int64_t wide = v->asI64();
+    const std::int64_t wide = v.asI64();
     if (wide < std::numeric_limits<int>::min() ||
         wide > std::numeric_limits<int>::max())
         return false;
@@ -50,224 +52,318 @@ getInt(const Json &obj, const char *key, int &out)
 }
 
 bool
-getDouble(const Json &obj, const char *key, double &out)
+read(const Json &v, double &out)
 {
-    const Json *v = obj.find(key);
-    if (!v || !v->isNumber())
+    if (!v.isNumber())
         return false;
-    out = v->asDouble();
+    out = v.asDouble();
     return true;
 }
 
 bool
-getBool(const Json &obj, const char *key, bool &out)
+read(const Json &v, bool &out)
 {
-    const Json *v = obj.find(key);
-    if (!v || !v->isBool())
+    if (!v.isBool())
         return false;
-    out = v->asBool();
+    out = v.asBool();
     return true;
 }
 
 bool
-getString(const Json &obj, const char *key, std::string &out)
+read(const Json &v, std::string &out)
+{
+    if (!v.isString())
+        return false;
+    out = v.asString();
+    return true;
+}
+
+bool
+read(const Json &v, sim::SimResult &out)
+{
+    return v.isObject() && fromJson(v, out);
+}
+
+Json
+fieldJson(const sim::SimResult &result)
+{
+    return toJson(result);
+}
+
+/** An enum serialized by name: its name and parse functions. */
+template <typename E>
+struct Names {};
+
+template <>
+struct Names<runahead::RaVariant> {
+    static constexpr auto name = runahead::raVariantName;
+    static constexpr auto parse = runahead::parseRaVariant;
+};
+
+template <>
+struct Names<core::PolicyKind> {
+    static constexpr auto name = policy::policyKindName;
+    static constexpr auto parse = policy::parsePolicyKind;
+};
+
+template <>
+struct Names<sim::WorkloadGroup> {
+    static constexpr auto name = sim::groupName;
+    static constexpr auto parse = sim::parseGroup;
+};
+
+// --- Field lists ---
+//
+// Each serialized record lists its fields once, in JSON key order, as
+// Fields<R>::list: the counter table beside a statistics struct
+// (common/counters.hh), or a tuple of Field entries for the others.
+// recordJson writes a record and readRecord reads one back; a field
+// whose type has a list of its own nests as an object.
+
+template <typename R, typename T>
+struct Field {
+    const char *name;
+    T R::*member;
+};
+template <typename R, typename T>
+Field(const char *, T R::*) -> Field<R, T>;
+
+template <typename R>
+struct Fields {};
+
+template <>
+struct Fields<core::RatConfig> {
+    using R = core::RatConfig;
+    static constexpr auto list = std::make_tuple(
+        Field{"variant", &R::variant},
+        Field{"cappedMaxCycles", &R::cappedMaxCycles},
+        Field{"uselessFilterThreshold", &R::uselessFilterThreshold},
+        Field{"uselessFilterReprobe", &R::uselessFilterReprobe},
+        Field{"dropFpInRunahead", &R::dropFpInRunahead},
+        Field{"useRunaheadCache", &R::useRunaheadCache},
+        Field{"runaheadCacheLines", &R::runaheadCacheLines},
+        Field{"disablePrefetch", &R::disablePrefetch},
+        Field{"noFetchInRunahead", &R::noFetchInRunahead});
+};
+
+template <>
+struct Fields<branch::PerceptronConfig> {
+    using R = branch::PerceptronConfig;
+    static constexpr auto list =
+        std::make_tuple(Field{"tableEntries", &R::tableEntries},
+                        Field{"historyBits", &R::historyBits},
+                        Field{"weightLimit", &R::weightLimit});
+};
+
+// cycleSkipping, checkLevel and checkInterval are host-side knobs that
+// cannot change a result, so they are not serialized (core/config.hh).
+template <>
+struct Fields<core::CoreConfig> {
+    using R = core::CoreConfig;
+    static constexpr auto list = std::make_tuple(
+        Field{"numThreads", &R::numThreads},
+        Field{"fetchWidth", &R::fetchWidth},
+        Field{"fetchThreads", &R::fetchThreads},
+        Field{"renameWidth", &R::renameWidth},
+        Field{"issueWidth", &R::issueWidth},
+        Field{"commitWidth", &R::commitWidth},
+        Field{"frontendDelay", &R::frontendDelay},
+        Field{"robEntries", &R::robEntries},
+        Field{"intIqEntries", &R::intIqEntries},
+        Field{"fpIqEntries", &R::fpIqEntries},
+        Field{"lsIqEntries", &R::lsIqEntries},
+        Field{"lsqEntries", &R::lsqEntries},
+        Field{"intRegs", &R::intRegs},
+        Field{"fpRegs", &R::fpRegs},
+        Field{"intUnits", &R::intUnits},
+        Field{"fpUnits", &R::fpUnits},
+        Field{"memUnits", &R::memUnits},
+        Field{"fetchQueueEntries", &R::fetchQueueEntries},
+        Field{"btbMissPenalty", &R::btbMissPenalty},
+        Field{"mispredictRedirect", &R::mispredictRedirect},
+        Field{"ifetchPrefetchLines", &R::ifetchPrefetchLines},
+        Field{"policy", &R::policy},
+        Field{"rat", &R::rat},
+        Field{"predictor", &R::predictor});
+};
+
+template <>
+struct Fields<mem::CacheConfig> {
+    using R = mem::CacheConfig;
+    static constexpr auto list = std::make_tuple(
+        Field{"name", &R::name}, Field{"sizeBytes", &R::sizeBytes},
+        Field{"ways", &R::ways}, Field{"lineBytes", &R::lineBytes},
+        Field{"latency", &R::latency}, Field{"mshrs", &R::mshrs});
+};
+
+template <>
+struct Fields<mem::MemConfig> {
+    using R = mem::MemConfig;
+    static constexpr auto list = std::make_tuple(
+        Field{"l1i", &R::l1i}, Field{"l1d", &R::l1d},
+        Field{"l2", &R::l2}, Field{"memLatency", &R::memLatency});
+};
+
+// The gated members (sampleWindow, digestWindow, the sampled block)
+// follow by hand in toJson/fromJson(SimConfig).
+template <>
+struct Fields<sim::SimConfig> {
+    using R = sim::SimConfig;
+    static constexpr auto list = std::make_tuple(
+        Field{"core", &R::core}, Field{"mem", &R::mem},
+        Field{"prewarmInsts", &R::prewarmInsts},
+        Field{"warmupCycles", &R::warmupCycles},
+        Field{"measureCycles", &R::measureCycles},
+        Field{"seed", &R::seed});
+};
+
+template <>
+struct Fields<core::ThreadStats> {
+    static constexpr const auto &list = core::kThreadStatsFields;
+};
+
+template <>
+struct Fields<mem::ThreadMemStats> {
+    static constexpr const auto &list = mem::kThreadMemStatsFields;
+};
+
+template <>
+struct Fields<runahead::EngineStats> {
+    static constexpr const auto &list = runahead::kEngineStatsFields;
+};
+
+template <>
+struct Fields<sim::ThreadResult> {
+    using R = sim::ThreadResult;
+    static constexpr auto list = std::make_tuple(
+        Field{"program", &R::program}, Field{"ipc", &R::ipc},
+        Field{"l2Mpki", &R::l2Mpki}, Field{"core", &R::core},
+        Field{"mem", &R::mem});
+};
+
+template <>
+struct Fields<sim::GroupMetrics> {
+    using R = sim::GroupMetrics;
+    static constexpr auto list = std::make_tuple(
+        Field{"technique", &R::technique}, Field{"group", &R::group},
+        Field{"meanThroughput", &R::meanThroughput},
+        Field{"meanFairness", &R::meanFairness},
+        Field{"meanEd2", &R::meanEd2}, Field{"results", &R::results});
+};
+
+/** Call @p fn on each entry of a field list. */
+template <typename... F, typename Fn>
+void
+forEachField(const std::tuple<F...> &list, Fn &&fn)
+{
+    std::apply([&](const auto &...f) { (fn(f), ...); }, list);
+}
+
+template <typename R, std::size_t N, typename Fn>
+void
+forEachField(const Counter<R> (&list)[N], Fn &&fn)
+{
+    for (const Counter<R> &c : list)
+        fn(c);
+}
+
+template <typename R>
+bool readRecord(const Json &json, R &record);
+template <typename R>
+Json recordJson(const R &record);
+
+/** An enum by name (unknown names fail), or a nested record. */
+template <typename T>
+bool
+read(const Json &v, T &out)
+{
+    if constexpr (std::is_enum_v<T>) {
+        const auto parsed =
+            v.isString() ? Names<T>::parse(v.asString()) : std::nullopt;
+        if (parsed)
+            out = *parsed;
+        return parsed.has_value();
+    } else {
+        return v.isObject() && readRecord(v, out);
+    }
+}
+
+/** An array of values, each read in full. */
+template <typename T>
+bool
+read(const Json &v, std::vector<T> &out)
+{
+    if (!v.isArray())
+        return false;
+    out.clear();
+    for (const Json &e : v.elements()) {
+        T value;
+        if (!read(e, value))
+            return false;
+        out.push_back(std::move(value));
+    }
+    return true;
+}
+
+/** Member @p key of @p obj; false when it is absent or unreadable. */
+template <typename T>
+bool
+get(const Json &obj, const char *key, T &out)
 {
     const Json *v = obj.find(key);
-    if (!v || !v->isString())
-        return false;
-    out = v->asString();
-    return true;
+    return v && read(*v, out);
+}
+
+template <typename R>
+bool
+readRecord(const Json &json, R &record)
+{
+    bool ok = true;
+    forEachField(Fields<R>::list, [&](const auto &f) {
+        ok = ok && get(json, f.name, record.*f.member);
+    });
+    return ok;
+}
+
+template <typename T>
+Json
+fieldJson(const T &v)
+{
+    if constexpr (std::is_enum_v<T>)
+        return Json(Names<T>::name(v));
+    else if constexpr (std::is_constructible_v<Json, const T &>)
+        return Json(v);
+    else
+        return recordJson(v);
+}
+
+template <typename T>
+Json
+fieldJson(const std::vector<T> &values)
+{
+    Json array = Json::array();
+    for (const T &v : values)
+        array.push(fieldJson(v));
+    return array;
+}
+
+template <typename R>
+Json
+recordJson(const R &record)
+{
+    Json j = Json::object();
+    forEachField(Fields<R>::list, [&](const auto &f) {
+        j[f.name] = fieldJson(record.*f.member);
+    });
+    return j;
 }
 
 } // namespace
 
 Json
-toJson(const core::RatConfig &rat)
-{
-    Json j = Json::object();
-    j["variant"] = Json(runahead::raVariantName(rat.variant));
-    j["cappedMaxCycles"] = Json(std::uint64_t{rat.cappedMaxCycles});
-    j["uselessFilterThreshold"] =
-        Json(std::uint64_t{rat.uselessFilterThreshold});
-    j["uselessFilterReprobe"] =
-        Json(std::uint64_t{rat.uselessFilterReprobe});
-    j["dropFpInRunahead"] = Json(rat.dropFpInRunahead);
-    j["useRunaheadCache"] = Json(rat.useRunaheadCache);
-    j["runaheadCacheLines"] = Json(std::uint64_t{rat.runaheadCacheLines});
-    j["disablePrefetch"] = Json(rat.disablePrefetch);
-    j["noFetchInRunahead"] = Json(rat.noFetchInRunahead);
-    return j;
-}
-
-bool
-fromJson(const Json &json, core::RatConfig &rat)
-{
-    std::string variant;
-    if (!getString(json, "variant", variant))
-        return false;
-    const auto parsed = runahead::parseRaVariant(variant);
-    if (!parsed)
-        return false;
-    rat.variant = *parsed;
-    return getUnsigned(json, "cappedMaxCycles", rat.cappedMaxCycles) &&
-           getUnsigned(json, "uselessFilterThreshold",
-                       rat.uselessFilterThreshold) &&
-           getUnsigned(json, "uselessFilterReprobe",
-                       rat.uselessFilterReprobe) &&
-           getBool(json, "dropFpInRunahead", rat.dropFpInRunahead) &&
-           getBool(json, "useRunaheadCache", rat.useRunaheadCache) &&
-           getUnsigned(json, "runaheadCacheLines",
-                       rat.runaheadCacheLines) &&
-           getBool(json, "disablePrefetch", rat.disablePrefetch) &&
-           getBool(json, "noFetchInRunahead", rat.noFetchInRunahead);
-}
-
-Json
-toJson(const core::CoreConfig &core)
-{
-    Json j = Json::object();
-    j["numThreads"] = Json(std::uint64_t{core.numThreads});
-    j["fetchWidth"] = Json(std::uint64_t{core.fetchWidth});
-    j["fetchThreads"] = Json(std::uint64_t{core.fetchThreads});
-    j["renameWidth"] = Json(std::uint64_t{core.renameWidth});
-    j["issueWidth"] = Json(std::uint64_t{core.issueWidth});
-    j["commitWidth"] = Json(std::uint64_t{core.commitWidth});
-    j["frontendDelay"] = Json(std::uint64_t{core.frontendDelay});
-    j["robEntries"] = Json(std::uint64_t{core.robEntries});
-    j["intIqEntries"] = Json(std::uint64_t{core.intIqEntries});
-    j["fpIqEntries"] = Json(std::uint64_t{core.fpIqEntries});
-    j["lsIqEntries"] = Json(std::uint64_t{core.lsIqEntries});
-    j["lsqEntries"] = Json(std::uint64_t{core.lsqEntries});
-    j["intRegs"] = Json(std::uint64_t{core.intRegs});
-    j["fpRegs"] = Json(std::uint64_t{core.fpRegs});
-    j["intUnits"] = Json(std::uint64_t{core.intUnits});
-    j["fpUnits"] = Json(std::uint64_t{core.fpUnits});
-    j["memUnits"] = Json(std::uint64_t{core.memUnits});
-    j["fetchQueueEntries"] = Json(std::uint64_t{core.fetchQueueEntries});
-    j["btbMissPenalty"] = Json(std::uint64_t{core.btbMissPenalty});
-    j["mispredictRedirect"] = Json(std::uint64_t{core.mispredictRedirect});
-    j["ifetchPrefetchLines"] =
-        Json(std::uint64_t{core.ifetchPrefetchLines});
-    j["policy"] = Json(policy::policyKindName(core.policy));
-    j["rat"] = toJson(core.rat);
-    Json predictor = Json::object();
-    predictor["tableEntries"] =
-        Json(std::uint64_t{core.predictor.tableEntries});
-    predictor["historyBits"] =
-        Json(std::uint64_t{core.predictor.historyBits});
-    predictor["weightLimit"] =
-        Json(std::int64_t{core.predictor.weightLimit});
-    j["predictor"] = std::move(predictor);
-    return j;
-}
-
-bool
-fromJson(const Json &json, core::CoreConfig &core)
-{
-    std::string policy;
-    if (!getString(json, "policy", policy))
-        return false;
-    const auto kind = policy::parsePolicyKind(policy);
-    if (!kind)
-        return false;
-    core.policy = *kind;
-
-    const Json *rat = json.find("rat");
-    if (!rat || !fromJson(*rat, core.rat))
-        return false;
-
-    const Json *predictor = json.find("predictor");
-    if (!predictor || !predictor->isObject())
-        return false;
-    if (!getUnsigned(*predictor, "tableEntries",
-                     core.predictor.tableEntries) ||
-        !getUnsigned(*predictor, "historyBits",
-                     core.predictor.historyBits) ||
-        !getInt(*predictor, "weightLimit", core.predictor.weightLimit))
-        return false;
-
-    return getUnsigned(json, "numThreads", core.numThreads) &&
-           getUnsigned(json, "fetchWidth", core.fetchWidth) &&
-           getUnsigned(json, "fetchThreads", core.fetchThreads) &&
-           getUnsigned(json, "renameWidth", core.renameWidth) &&
-           getUnsigned(json, "issueWidth", core.issueWidth) &&
-           getUnsigned(json, "commitWidth", core.commitWidth) &&
-           getUnsigned(json, "frontendDelay", core.frontendDelay) &&
-           getUnsigned(json, "robEntries", core.robEntries) &&
-           getUnsigned(json, "intIqEntries", core.intIqEntries) &&
-           getUnsigned(json, "fpIqEntries", core.fpIqEntries) &&
-           getUnsigned(json, "lsIqEntries", core.lsIqEntries) &&
-           getUnsigned(json, "lsqEntries", core.lsqEntries) &&
-           getUnsigned(json, "intRegs", core.intRegs) &&
-           getUnsigned(json, "fpRegs", core.fpRegs) &&
-           getUnsigned(json, "intUnits", core.intUnits) &&
-           getUnsigned(json, "fpUnits", core.fpUnits) &&
-           getUnsigned(json, "memUnits", core.memUnits) &&
-           getUnsigned(json, "fetchQueueEntries",
-                       core.fetchQueueEntries) &&
-           getUnsigned(json, "btbMissPenalty", core.btbMissPenalty) &&
-           getUnsigned(json, "mispredictRedirect",
-                       core.mispredictRedirect) &&
-           getUnsigned(json, "ifetchPrefetchLines",
-                       core.ifetchPrefetchLines);
-}
-
-Json
-toJson(const mem::CacheConfig &cache)
-{
-    Json j = Json::object();
-    j["name"] = Json(cache.name);
-    j["sizeBytes"] = Json(cache.sizeBytes);
-    j["ways"] = Json(std::uint64_t{cache.ways});
-    j["lineBytes"] = Json(std::uint64_t{cache.lineBytes});
-    j["latency"] = Json(std::uint64_t{cache.latency});
-    j["mshrs"] = Json(std::uint64_t{cache.mshrs});
-    return j;
-}
-
-bool
-fromJson(const Json &json, mem::CacheConfig &cache)
-{
-    return getString(json, "name", cache.name) &&
-           getU64(json, "sizeBytes", cache.sizeBytes) &&
-           getUnsigned(json, "ways", cache.ways) &&
-           getUnsigned(json, "lineBytes", cache.lineBytes) &&
-           getUnsigned(json, "latency", cache.latency) &&
-           getUnsigned(json, "mshrs", cache.mshrs);
-}
-
-Json
-toJson(const mem::MemConfig &mem)
-{
-    Json j = Json::object();
-    j["l1i"] = toJson(mem.l1i);
-    j["l1d"] = toJson(mem.l1d);
-    j["l2"] = toJson(mem.l2);
-    j["memLatency"] = Json(std::uint64_t{mem.memLatency});
-    return j;
-}
-
-bool
-fromJson(const Json &json, mem::MemConfig &mem)
-{
-    const Json *l1i = json.find("l1i");
-    const Json *l1d = json.find("l1d");
-    const Json *l2 = json.find("l2");
-    return l1i && fromJson(*l1i, mem.l1i) && l1d &&
-           fromJson(*l1d, mem.l1d) && l2 && fromJson(*l2, mem.l2) &&
-           getUnsigned(json, "memLatency", mem.memLatency);
-}
-
-Json
 toJson(const sim::SimConfig &config)
 {
-    Json j = Json::object();
-    j["core"] = toJson(config.core);
-    j["mem"] = toJson(config.mem);
-    j["prewarmInsts"] = Json(config.prewarmInsts);
-    j["warmupCycles"] = Json(config.warmupCycles);
-    j["measureCycles"] = Json(config.measureCycles);
-    j["seed"] = Json(config.seed);
+    Json j = recordJson(config);
     // Telemetry sampling changes SimResult content, so it is part of
     // the cache key — but only when enabled, keeping every existing
     // default-config key (and golden file) byte-identical.
@@ -298,105 +394,27 @@ toJson(const sim::SimConfig &config)
 bool
 fromJson(const Json &json, sim::SimConfig &config)
 {
-    const Json *core = json.find("core");
-    const Json *mem = json.find("mem");
     // sampleWindow/digestWindow are optional (absent = off) — see
     // toJson above.
     config.sampleWindow = 0;
-    getU64(json, "sampleWindow", config.sampleWindow);
+    get(json, "sampleWindow", config.sampleWindow);
     config.digestWindow = 0;
-    getU64(json, "digestWindow", config.digestWindow);
+    get(json, "digestWindow", config.digestWindow);
     // Sampled block optional (absent = exact mode) — see toJson above.
     config.sampled = false;
     config.sampleIndex = -1;
     if (const Json *s = json.find("sampled")) {
         if (!s->isObject() ||
-            !getUnsigned(*s, "phases", config.samplePhases) ||
-            !getU64(*s, "phaseWindow", config.phaseWindow) ||
-            !getUnsigned(*s, "spanWindows", config.phaseSpanWindows) ||
-            !getU64(*s, "warmupCycles", config.sampleWarmupCycles) ||
-            !getU64(*s, "measureCycles", config.sampleMeasureCycles))
+            !get(*s, "phases", config.samplePhases) ||
+            !get(*s, "phaseWindow", config.phaseWindow) ||
+            !get(*s, "spanWindows", config.phaseSpanWindows) ||
+            !get(*s, "warmupCycles", config.sampleWarmupCycles) ||
+            !get(*s, "measureCycles", config.sampleMeasureCycles))
             return false;
-        getInt(*s, "sampleIndex", config.sampleIndex);
+        get(*s, "sampleIndex", config.sampleIndex);
         config.sampled = true;
     }
-    return core && fromJson(*core, config.core) && mem &&
-           fromJson(*mem, config.mem) &&
-           getU64(json, "prewarmInsts", config.prewarmInsts) &&
-           getU64(json, "warmupCycles", config.warmupCycles) &&
-           getU64(json, "measureCycles", config.measureCycles) &&
-           getU64(json, "seed", config.seed);
-}
-
-Json
-toJson(const core::ThreadStats &stats)
-{
-    Json j = Json::object();
-    j["committedInsts"] = Json(stats.committedInsts);
-    j["executedInsts"] = Json(stats.executedInsts);
-    j["fetchedInsts"] = Json(stats.fetchedInsts);
-    j["pseudoRetired"] = Json(stats.pseudoRetired);
-    j["invalidInsts"] = Json(stats.invalidInsts);
-    j["runaheadEntries"] = Json(stats.runaheadEntries);
-    j["uselessRunaheadEpisodes"] = Json(stats.uselessRunaheadEpisodes);
-    j["runaheadCycles"] = Json(stats.runaheadCycles);
-    j["normalCycles"] = Json(stats.normalCycles);
-    j["branches"] = Json(stats.branches);
-    j["branchMispredicts"] = Json(stats.branchMispredicts);
-    j["squashedInsts"] = Json(stats.squashedInsts);
-    j["normalRegCycles"] = Json(stats.normalRegCycles);
-    j["runaheadRegCycles"] = Json(stats.runaheadRegCycles);
-    return j;
-}
-
-bool
-fromJson(const Json &json, core::ThreadStats &stats)
-{
-    return getU64(json, "committedInsts", stats.committedInsts) &&
-           getU64(json, "executedInsts", stats.executedInsts) &&
-           getU64(json, "fetchedInsts", stats.fetchedInsts) &&
-           getU64(json, "pseudoRetired", stats.pseudoRetired) &&
-           getU64(json, "invalidInsts", stats.invalidInsts) &&
-           getU64(json, "runaheadEntries", stats.runaheadEntries) &&
-           getU64(json, "uselessRunaheadEpisodes",
-                  stats.uselessRunaheadEpisodes) &&
-           getU64(json, "runaheadCycles", stats.runaheadCycles) &&
-           getU64(json, "normalCycles", stats.normalCycles) &&
-           getU64(json, "branches", stats.branches) &&
-           getU64(json, "branchMispredicts", stats.branchMispredicts) &&
-           getU64(json, "squashedInsts", stats.squashedInsts) &&
-           getU64(json, "normalRegCycles", stats.normalRegCycles) &&
-           getU64(json, "runaheadRegCycles", stats.runaheadRegCycles);
-}
-
-Json
-toJson(const mem::ThreadMemStats &stats)
-{
-    Json j = Json::object();
-    j["loads"] = Json(stats.loads);
-    j["stores"] = Json(stats.stores);
-    j["l1dMisses"] = Json(stats.l1dMisses);
-    j["l2DemandMisses"] = Json(stats.l2DemandMisses);
-    j["ifetchL1Misses"] = Json(stats.ifetchL1Misses);
-    j["ifetchL2Misses"] = Json(stats.ifetchL2Misses);
-    j["ifetchPrefetches"] = Json(stats.ifetchPrefetches);
-    j["raMemPrefetches"] = Json(stats.raMemPrefetches);
-    j["raL2Prefetches"] = Json(stats.raL2Prefetches);
-    return j;
-}
-
-bool
-fromJson(const Json &json, mem::ThreadMemStats &stats)
-{
-    return getU64(json, "loads", stats.loads) &&
-           getU64(json, "stores", stats.stores) &&
-           getU64(json, "l1dMisses", stats.l1dMisses) &&
-           getU64(json, "l2DemandMisses", stats.l2DemandMisses) &&
-           getU64(json, "ifetchL1Misses", stats.ifetchL1Misses) &&
-           getU64(json, "ifetchL2Misses", stats.ifetchL2Misses) &&
-           getU64(json, "ifetchPrefetches", stats.ifetchPrefetches) &&
-           getU64(json, "raMemPrefetches", stats.raMemPrefetches) &&
-           getU64(json, "raL2Prefetches", stats.raL2Prefetches);
+    return readRecord(json, config);
 }
 
 Json
@@ -420,8 +438,8 @@ bool
 fromJson(const Json &json, obs::Log2Histogram &hist)
 {
     hist = obs::Log2Histogram{};
-    if (!getU64(json, "total", hist.total_) ||
-        !getU64(json, "sum", hist.sum_))
+    if (!get(json, "total", hist.total_) ||
+        !get(json, "sum", hist.sum_))
         return false;
     const Json *buckets = json.find("buckets");
     if (!buckets || !buckets->isArray())
@@ -470,7 +488,7 @@ fromJson(const Json &json, obs::TelemetryResult &telemetry)
     telemetry = obs::TelemetryResult{};
     telemetry.enabled = true;
     std::uint64_t window = 0;
-    if (!getU64(json, "window", window))
+    if (!get(json, "window", window))
         return false;
     telemetry.window = window;
     const Json *samples = json.find("samples");
@@ -505,38 +523,7 @@ fromJson(const Json &json, obs::TelemetryResult &telemetry)
 Json
 engineStatsJson(const runahead::EngineStats &stats)
 {
-    Json j = Json::object();
-    j["episodes"] = Json(stats.episodes);
-    j["uselessEpisodes"] = Json(stats.uselessEpisodes);
-    j["suppressedEntries"] = Json(stats.suppressedEntries);
-    j["drainEpisodes"] = Json(stats.drainEpisodes);
-    j["cappedExits"] = Json(stats.cappedExits);
-    j["executedInRunahead"] = Json(stats.executedInRunahead);
-    return j;
-}
-
-Json
-toJson(const sim::ThreadResult &thread)
-{
-    Json j = Json::object();
-    j["program"] = Json(thread.program);
-    j["ipc"] = Json(thread.ipc);
-    j["l2Mpki"] = Json(thread.l2Mpki);
-    j["core"] = toJson(thread.core);
-    j["mem"] = toJson(thread.mem);
-    return j;
-}
-
-bool
-fromJson(const Json &json, sim::ThreadResult &thread)
-{
-    const Json *core = json.find("core");
-    const Json *mem = json.find("mem");
-    return getString(json, "program", thread.program) &&
-           getDouble(json, "ipc", thread.ipc) &&
-           getDouble(json, "l2Mpki", thread.l2Mpki) && core &&
-           fromJson(*core, thread.core) && mem &&
-           fromJson(*mem, thread.mem);
+    return recordJson(stats);
 }
 
 Json
@@ -544,10 +531,7 @@ toJson(const sim::SimResult &result)
 {
     Json j = Json::object();
     j["cycles"] = Json(result.cycles);
-    Json threads = Json::array();
-    for (const sim::ThreadResult &t : result.threads)
-        threads.push(toJson(t));
-    j["threads"] = std::move(threads);
+    j["threads"] = fieldJson(result.threads);
     // Emitted only for telemetry-enabled runs: default-config results
     // (goldens, existing cache cells) serialize exactly as before.
     if (result.telemetry.enabled)
@@ -593,18 +577,9 @@ toJson(const sim::SimResult &result)
 bool
 fromJson(const Json &json, sim::SimResult &result)
 {
-    if (!getU64(json, "cycles", result.cycles))
+    if (!get(json, "cycles", result.cycles) ||
+        !get(json, "threads", result.threads))
         return false;
-    const Json *threads = json.find("threads");
-    if (!threads || !threads->isArray())
-        return false;
-    result.threads.clear();
-    for (const Json &t : threads->elements()) {
-        sim::ThreadResult thread;
-        if (!t.isObject() || !fromJson(t, thread))
-            return false;
-        result.threads.push_back(std::move(thread));
-    }
     result.telemetry = obs::TelemetryResult{};
     const Json *telemetry = json.find("telemetry");
     if (telemetry &&
@@ -614,7 +589,7 @@ fromJson(const Json &json, sim::SimResult &result)
     result.digest = obs::DigestTrack{};
     if (const Json *digest = json.find("digest")) {
         if (!digest->isObject() ||
-            !getU64(*digest, "window", result.digest.window) ||
+            !get(*digest, "window", result.digest.window) ||
             result.digest.window == 0)
             return false;
         const Json *samples = digest->find("samples");
@@ -632,22 +607,18 @@ fromJson(const Json &json, sim::SimResult &result)
     }
     result.sampled = sim::SampledMeta{};
     if (const Json *s = json.find("sampled")) {
-        if (!s->isObject() ||
-            !getBool(*s, "merged", result.sampled.merged))
+        if (!get(*s, "merged", result.sampled.merged))
             return false;
         if (result.sampled.merged) {
-            if (!getUnsigned(*s, "phases", result.sampled.phases) ||
-                !getU64(*s, "totalWindows",
-                        result.sampled.totalWindows) ||
-                !getDouble(*s, "ipcError", result.sampled.ipcError) ||
-                !getDouble(*s, "hmeanError", result.sampled.hmeanError))
+            if (!get(*s, "phases", result.sampled.phases) ||
+                !get(*s, "totalWindows", result.sampled.totalWindows) ||
+                !get(*s, "ipcError", result.sampled.ipcError) ||
+                !get(*s, "hmeanError", result.sampled.hmeanError))
                 return false;
         } else {
-            if (!getInt(*s, "sampleIndex",
-                        result.sampled.sampleIndex) ||
-                !getUnsigned(*s, "windowIndex",
-                             result.sampled.windowIndex) ||
-                !getU64(*s, "weight", result.sampled.weight))
+            if (!get(*s, "sampleIndex", result.sampled.sampleIndex) ||
+                !get(*s, "windowIndex", result.sampled.windowIndex) ||
+                !get(*s, "weight", result.sampled.weight))
                 return false;
         }
         result.sampled.enabled = true;
@@ -658,45 +629,13 @@ fromJson(const Json &json, sim::SimResult &result)
 Json
 toJson(const sim::GroupMetrics &metrics)
 {
-    Json j = Json::object();
-    j["technique"] = Json(metrics.technique);
-    j["group"] = Json(sim::groupName(metrics.group));
-    j["meanThroughput"] = Json(metrics.meanThroughput);
-    j["meanFairness"] = Json(metrics.meanFairness);
-    j["meanEd2"] = Json(metrics.meanEd2);
-    Json results = Json::array();
-    for (const sim::SimResult &r : metrics.results)
-        results.push(toJson(r));
-    j["results"] = std::move(results);
-    return j;
+    return recordJson(metrics);
 }
 
 bool
 fromJson(const Json &json, sim::GroupMetrics &metrics)
 {
-    std::string group;
-    if (!getString(json, "group", group))
-        return false;
-    const auto parsed = sim::parseGroup(group);
-    if (!parsed)
-        return false;
-    metrics.group = *parsed;
-    if (!getString(json, "technique", metrics.technique) ||
-        !getDouble(json, "meanThroughput", metrics.meanThroughput) ||
-        !getDouble(json, "meanFairness", metrics.meanFairness) ||
-        !getDouble(json, "meanEd2", metrics.meanEd2))
-        return false;
-    const Json *results = json.find("results");
-    if (!results || !results->isArray())
-        return false;
-    metrics.results.clear();
-    for (const Json &r : results->elements()) {
-        sim::SimResult result;
-        if (!r.isObject() || !fromJson(r, result))
-            return false;
-        metrics.results.push_back(std::move(result));
-    }
-    return true;
+    return readRecord(json, metrics);
 }
 
 Json

@@ -4,7 +4,14 @@
  * types. `toJson` emits every field that affects or describes a run;
  * the matching `fromJson` reads it back exactly (numeric fields
  * round-trip bit-for-bit, see report/json.hh), returning false on
- * missing or ill-typed members instead of guessing.
+ * missing, ill-typed or out-of-range members and on unknown policy or
+ * variant names, instead of guessing.
+ *
+ * Each record's fields are named once, in one field list that one
+ * writer and one reader walk: in serialize.cc for the config records,
+ * and the counter table beside each statistics struct
+ * (common/counters.hh). SimConfig's gated members are written by hand,
+ * because whether they appear is the cache-key decision below.
  *
  * The on-disk result cache (report/result_cache.hh) builds its content
  * hash from the canonical compact dump of `toJson(SimConfig)`, so the
@@ -23,40 +30,25 @@
 namespace rat::report {
 
 // --- Configuration ---
-Json toJson(const core::RatConfig &rat);
-Json toJson(const core::CoreConfig &core);
-Json toJson(const mem::CacheConfig &cache);
-Json toJson(const mem::MemConfig &mem);
 Json toJson(const sim::SimConfig &config);
-
-bool fromJson(const Json &json, core::RatConfig &rat);
-bool fromJson(const Json &json, core::CoreConfig &core);
-bool fromJson(const Json &json, mem::CacheConfig &cache);
-bool fromJson(const Json &json, mem::MemConfig &mem);
 bool fromJson(const Json &json, sim::SimConfig &config);
 
 // --- Results ---
-Json toJson(const core::ThreadStats &stats);
-Json toJson(const mem::ThreadMemStats &stats);
 Json toJson(const obs::Log2Histogram &hist);
 Json toJson(const obs::TelemetryResult &telemetry);
-Json toJson(const sim::ThreadResult &thread);
 Json toJson(const sim::SimResult &result);
 Json toJson(const sim::GroupMetrics &metrics);
 
-bool fromJson(const Json &json, core::ThreadStats &stats);
-bool fromJson(const Json &json, mem::ThreadMemStats &stats);
 bool fromJson(const Json &json, obs::Log2Histogram &hist);
 bool fromJson(const Json &json, obs::TelemetryResult &telemetry);
-bool fromJson(const Json &json, sim::ThreadResult &thread);
 bool fromJson(const Json &json, sim::SimResult &result);
 bool fromJson(const Json &json, sim::GroupMetrics &metrics);
 
 /**
- * Runahead-engine statistics as a JSON block. One-way: `SimResult` does
- * not serialize these (goldens and cache cells stay unchanged), but
- * always-fresh paths — `ratsim report` structured output — surface them
- * through this helper.
+ * Runahead-engine statistics (`SimResult::engine`) as a JSON block.
+ * One-way: `SimResult` does not serialize these (goldens and cache
+ * cells stay unchanged), but always-fresh paths — `ratsim report`
+ * structured output — surface them through this helper.
  */
 Json engineStatsJson(const runahead::EngineStats &stats);
 

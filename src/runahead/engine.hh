@@ -21,9 +21,8 @@
  *    fold/retire hooks (pseudo-retired store lines, runahead-load
  *    lookups, executed-in-runahead accounting).
  *
- * The serialized per-thread counters (`core::ThreadStats`) stay with
- * the core; `EngineStats` adds non-serialized efficiency counters the
- * variants and benches use.
+ * The per-thread counters (`core::ThreadStats`) stay with the core;
+ * `EngineStats` adds efficiency counters the variants and benches use.
  */
 
 #ifndef RAT_RUNAHEAD_ENGINE_HH
@@ -34,6 +33,7 @@
 #include <memory>
 #include <unordered_set>
 
+#include "common/counters.hh"
 #include "common/types.hh"
 #include "core/config.hh"
 #include "runahead/policy.hh"
@@ -47,8 +47,10 @@ class Auditor;
 namespace rat::runahead {
 
 /**
- * Engine-level counters (not part of the serialized results; reset
- * with the core's stats at the warmup -> measure boundary).
+ * Engine-level counters (`SimResult::engine`, reset with the core's
+ * stats at the warmup -> measure boundary): emitted as the report's
+ * `engine` block (report::engineStatsJson) and extrapolated by the
+ * sampled merge, but not held by serialized results or cache cells.
  */
 struct EngineStats {
     /** Episodes entered. */
@@ -64,6 +66,17 @@ struct EngineStats {
     /** Instructions executed (issued) while their thread ran ahead. */
     std::uint64_t executedInRunahead = 0;
 };
+
+/** Every EngineStats field (common/counters.hh). */
+inline constexpr Counter<EngineStats> kEngineStatsFields[] = {
+    {"episodes", &EngineStats::episodes},
+    {"uselessEpisodes", &EngineStats::uselessEpisodes},
+    {"suppressedEntries", &EngineStats::suppressedEntries},
+    {"drainEpisodes", &EngineStats::drainEpisodes},
+    {"cappedExits", &EngineStats::cappedExits},
+    {"executedInRunahead", &EngineStats::executedInRunahead},
+};
+static_assert(coversRecord(kEngineStatsFields));
 
 /** The extracted Runahead Threads subsystem. */
 class RunaheadEngine
@@ -200,12 +213,7 @@ class RunaheadEngine
             io.digest("raCacheLines", raCache_.occupancy(tid));
         }
         io.section("runahead.stats");
-        io.digest("episodes", stats_.episodes);
-        io.digest("uselessEpisodes", stats_.uselessEpisodes);
-        io.digest("suppressedEntries", stats_.suppressedEntries);
-        io.digest("drainEpisodes", stats_.drainEpisodes);
-        io.digest("cappedExits", stats_.cappedExits);
-        io.digest("executedInRunahead", stats_.executedInRunahead);
+        digestCounters(io, kEngineStatsFields, stats_);
     }
 
     /**

@@ -57,6 +57,13 @@ sampleKey(std::uint64_t seed)
     return ResultCache::keyFor(cfg, {"art", "mcf"});
 }
 
+TEST(ResultCacheKey, Fnv1a64MatchesPublishedVectors)
+{
+    EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+}
+
 TEST(ResultCacheFailure, SuccessfulStoreReturnsTrueAndLeavesNoTmp)
 {
     TempDir dir("rc_store_ok");

@@ -65,6 +65,70 @@ nonDefaultConfig()
     return cfg;
 }
 
+/**
+ * A config with every serialized field off its default: the capped
+ * variant, the run-ahead cache on, 128 registers, every cache's
+ * geometry, a negative weightLimit, both windows and the sampled block
+ * with a sample index.
+ */
+sim::SimConfig
+everyFieldConfig()
+{
+    sim::SimConfig cfg;
+    cfg.core.numThreads = 4;
+    cfg.core.fetchWidth = 4;
+    cfg.core.fetchThreads = 1;
+    cfg.core.renameWidth = 6;
+    cfg.core.issueWidth = 7;
+    cfg.core.commitWidth = 5;
+    cfg.core.frontendDelay = 9;
+    cfg.core.robEntries = 256;
+    cfg.core.intIqEntries = 48;
+    cfg.core.fpIqEntries = 32;
+    cfg.core.lsIqEntries = 24;
+    cfg.core.lsqEntries = 40;
+    cfg.core.intRegs = 128;
+    cfg.core.fpRegs = 128;
+    cfg.core.intUnits = 2;
+    cfg.core.fpUnits = 1;
+    cfg.core.memUnits = 3;
+    cfg.core.fetchQueueEntries = 16;
+    cfg.core.btbMissPenalty = 3;
+    cfg.core.mispredictRedirect = 4;
+    cfg.core.ifetchPrefetchLines = 2;
+    cfg.core.policy = core::PolicyKind::RatDcra;
+    cfg.core.rat.variant = runahead::RaVariant::Capped;
+    cfg.core.rat.cappedMaxCycles = 64;
+    cfg.core.rat.uselessFilterThreshold = 2;
+    cfg.core.rat.uselessFilterReprobe = 5;
+    cfg.core.rat.dropFpInRunahead = false;
+    cfg.core.rat.useRunaheadCache = true;
+    cfg.core.rat.runaheadCacheLines = 32;
+    cfg.core.rat.disablePrefetch = true;
+    cfg.core.rat.noFetchInRunahead = true;
+    cfg.core.predictor.tableEntries = 1024;
+    cfg.core.predictor.historyBits = 12;
+    cfg.core.predictor.weightLimit = -63;
+    cfg.mem.l1i = {"I1", 32 * 1024, 2, 32, 2, 4};
+    cfg.mem.l1d = {"D1", 16 * 1024, 8, 32, 4, 16};
+    cfg.mem.l2 = {"U2", 512 * 1024, 16, 128, 12, 64};
+    cfg.mem.memLatency = 250;
+    cfg.prewarmInsts = 12345;
+    cfg.warmupCycles = 777;
+    cfg.measureCycles = 4242;
+    cfg.seed = 99;
+    cfg.sampleWindow = 500;
+    cfg.digestWindow = 128;
+    cfg.sampled = true;
+    cfg.samplePhases = 3;
+    cfg.phaseWindow = 4096;
+    cfg.phaseSpanWindows = 32;
+    cfg.sampleWarmupCycles = 600;
+    cfg.sampleMeasureCycles = 3000;
+    cfg.sampleIndex = 2;
+    return cfg;
+}
+
 /** A fabricated two-thread result with distinctive counters. */
 sim::SimResult
 sampleResult()
@@ -174,6 +238,48 @@ TEST(Serialize, GroupMetricsRoundTripsExactly)
     EXPECT_EQ(toJson(back).dump(), toJson(gm).dump());
 }
 
+TEST(GoldenConfig, EveryFieldNonDefaultBytes)
+{
+    // The compact dump is the result cache's key material, so these
+    // bytes are every non-default cell's cache key: a writer change
+    // that renames, reorders or retypes a field must show here.
+    const std::string golden =
+        R"({"core":{"numThreads":4,"fetchWidth":4,"fetchThreads":1,)"
+        R"("renameWidth":6,"issueWidth":7,"commitWidth":5,)"
+        R"("frontendDelay":9,"robEntries":256,"intIqEntries":48,)"
+        R"("fpIqEntries":32,"lsIqEntries":24,"lsqEntries":40,)"
+        R"("intRegs":128,"fpRegs":128,"intUnits":2,"fpUnits":1,)"
+        R"("memUnits":3,"fetchQueueEntries":16,"btbMissPenalty":3,)"
+        R"("mispredictRedirect":4,"ifetchPrefetchLines":2,)"
+        R"("policy":"RaT+DCRA","rat":{"variant":"capped",)"
+        R"("cappedMaxCycles":64,"uselessFilterThreshold":2,)"
+        R"("uselessFilterReprobe":5,"dropFpInRunahead":false,)"
+        R"("useRunaheadCache":true,"runaheadCacheLines":32,)"
+        R"("disablePrefetch":true,"noFetchInRunahead":true},)"
+        R"("predictor":{"tableEntries":1024,"historyBits":12,)"
+        R"("weightLimit":-63}},"mem":{"l1i":{"name":"I1",)"
+        R"("sizeBytes":32768,"ways":2,"lineBytes":32,"latency":2,)"
+        R"("mshrs":4},"l1d":{"name":"D1","sizeBytes":16384,"ways":8,)"
+        R"("lineBytes":32,"latency":4,"mshrs":16},"l2":{"name":"U2",)"
+        R"("sizeBytes":524288,"ways":16,"lineBytes":128,"latency":12,)"
+        R"("mshrs":64},"memLatency":250},"prewarmInsts":12345,)"
+        R"("warmupCycles":777,"measureCycles":4242,"seed":99,)"
+        R"("sampleWindow":500,"digestWindow":128,"sampled":{"phases":3,)"
+        R"("phaseWindow":4096,"spanWindows":32,"warmupCycles":600,)"
+        R"("measureCycles":3000,"sampleIndex":2}})";
+    const sim::SimConfig cfg = everyFieldConfig();
+    EXPECT_EQ(toJson(cfg).dump(), golden);
+
+    const auto parsed = Json::parse(golden);
+    ASSERT_TRUE(parsed);
+    sim::SimConfig back;
+    ASSERT_TRUE(fromJson(*parsed, back));
+    EXPECT_EQ(toJson(back).dump(), golden);
+    EXPECT_EQ(back.sampleIndex, 2);
+    EXPECT_EQ(back.core.predictor.weightLimit, -63);
+    EXPECT_EQ(back.mem.l2.name, "U2");
+}
+
 TEST(Serialize, NegativeWeightLimitRoundTrips)
 {
     // weightLimit is the one signed config field; the reader must
@@ -209,6 +315,28 @@ TEST(Serialize, FromJsonRejectsMissingAndIllTypedFields)
     Json bad_policy = cfg;
     bad_policy["core"]["policy"] = Json("NOT_A_POLICY");
     EXPECT_FALSE(fromJson(bad_policy, out));
+
+    Json bad_variant = cfg;
+    bad_variant["core"]["rat"]["variant"] = Json("NOT_A_VARIANT");
+    EXPECT_FALSE(fromJson(bad_variant, out));
+
+    // unsigned and int members reject values their type cannot hold.
+    Json wide_unsigned = cfg;
+    wide_unsigned["mem"]["l2"]["ways"] = Json(std::uint64_t{1} << 32);
+    EXPECT_FALSE(fromJson(wide_unsigned, out));
+
+    Json negative_unsigned = cfg;
+    negative_unsigned["core"]["numThreads"] = Json(-1);
+    EXPECT_FALSE(fromJson(negative_unsigned, out));
+
+    Json wide_int = cfg;
+    wide_int["core"]["predictor"]["weightLimit"] =
+        Json(std::int64_t{1} << 40);
+    EXPECT_FALSE(fromJson(wide_int, out));
+
+    Json bad_block = cfg;
+    bad_block["mem"]["l1d"] = Json(7);
+    EXPECT_FALSE(fromJson(bad_block, out));
 }
 
 TEST(Serialize, ResultMetricsAndCsvShapes)

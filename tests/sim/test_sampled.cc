@@ -52,35 +52,51 @@ TEST(Sampled, DegenerateSinglePhaseIsExact)
     // the full run's: the "sampled" run restores the post-prewarm
     // checkpoint and then executes exactly what the exact run
     // executes. Results must be bit-identical — the strongest possible
-    // statement of restore fidelity.
-    SimConfig cfg = baseConfig();
-    cfg.sampled = true;
-    cfg.samplePhases = 1;
-    cfg.phaseSpanWindows = 1;
-    cfg.phaseWindow = 1024;
-    cfg.sampleWarmupCycles = cfg.warmupCycles;
-    cfg.sampleMeasureCycles = cfg.measureCycles;
+    // statement of restore fidelity. RaT keeps the runahead and engine
+    // counters live.
+    for (const core::PolicyKind policy :
+         {core::PolicyKind::Icount, core::PolicyKind::Rat}) {
+        SCOPED_TRACE(core::policyName(policy));
+        SimConfig exact = baseConfig();
+        exact.core.policy = policy;
+        SimConfig cfg = exact;
+        cfg.sampled = true;
+        cfg.samplePhases = 1;
+        cfg.phaseSpanWindows = 1;
+        cfg.phaseWindow = 1024;
+        cfg.sampleWarmupCycles = cfg.warmupCycles;
+        cfg.sampleMeasureCycles = cfg.measureCycles;
 
-    SimConfig exact = baseConfig();
-    Simulator sim(exact, kMix);
-    const SimResult full = sim.run();
-    const SimResult sampled = simulateCell(cfg, kMix);
+        Simulator sim(exact, kMix);
+        const SimResult full = sim.run();
+        const SimResult sampled = simulateCell(cfg, kMix);
 
-    ASSERT_EQ(full.threads.size(), sampled.threads.size());
-    for (std::size_t t = 0; t < full.threads.size(); ++t) {
-        EXPECT_EQ(full.threads[t].ipc, sampled.threads[t].ipc);
-        EXPECT_EQ(full.threads[t].core.committedInsts,
-                  sampled.threads[t].core.committedInsts);
-        EXPECT_EQ(full.threads[t].mem.l2DemandMisses,
-                  sampled.threads[t].mem.l2DemandMisses);
+        // Every counter, so one the merge drops or leaves unscaled
+        // fails.
+        ASSERT_EQ(full.threads.size(), sampled.threads.size());
+        for (std::size_t t = 0; t < full.threads.size(); ++t) {
+            const ThreadResult &a = full.threads[t];
+            const ThreadResult &b = sampled.threads[t];
+            EXPECT_EQ(a.ipc, b.ipc);
+            for (const auto &c : core::kThreadStatsFields)
+                EXPECT_EQ(a.core.*c.member, b.core.*c.member) << c.name;
+            for (const auto &c : mem::kThreadMemStatsFields)
+                EXPECT_EQ(a.mem.*c.member, b.mem.*c.member) << c.name;
+        }
+        for (const auto &c : runahead::kEngineStatsFields)
+            EXPECT_EQ(full.engine.*c.member, sampled.engine.*c.member)
+                << c.name;
+        if (policy == core::PolicyKind::Rat) {
+            EXPECT_GT(full.engine.episodes, 0u);
+        }
+        EXPECT_TRUE(sampled.sampled.enabled);
+        EXPECT_TRUE(sampled.sampled.merged);
+        EXPECT_EQ(sampled.sampled.phases, 1u);
+        // A single sample has zero dispersion: the error estimate
+        // reports the degenerate case as exact.
+        EXPECT_EQ(sampled.sampled.ipcError, 0.0);
+        EXPECT_EQ(sampled.sampled.hmeanError, 0.0);
     }
-    EXPECT_TRUE(sampled.sampled.enabled);
-    EXPECT_TRUE(sampled.sampled.merged);
-    EXPECT_EQ(sampled.sampled.phases, 1u);
-    // A single sample has zero dispersion: the error estimate reports
-    // the degenerate case as exact.
-    EXPECT_EQ(sampled.sampled.ipcError, 0.0);
-    EXPECT_EQ(sampled.sampled.hmeanError, 0.0);
 }
 
 TEST(Sampled, PerSampleCellsMergeToWholeRun)
