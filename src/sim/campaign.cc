@@ -1,6 +1,9 @@
 #include "sim/campaign.hh"
 
+#include <stdlib.h>
+
 #include <atomic>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <set>
@@ -11,6 +14,7 @@
 #include "common/logging.hh"
 #include "report/result_cache.hh"
 #include "report/serialize.hh"
+#include "sim/checkpoint.hh"
 #include "sim/metrics.hh"
 #include "sim/sampled.hh"
 
@@ -24,6 +28,27 @@ std::vector<T>
 axisOrDefault(const std::vector<T> &axis, T base_value)
 {
     return axis.empty() ? std::vector<T>{base_value} : axis;
+}
+
+/** Private checkpoint directories alive in this process. A run ended
+ * by fatal() never unwinds to its PrewarmShare, so what is still
+ * listed at exit() is removed here. */
+struct LivePrivateDirs {
+    std::mutex m;
+    std::set<std::string> dirs;
+    ~LivePrivateDirs()
+    {
+        std::error_code ec;
+        for (const std::string &dir : dirs)
+            std::filesystem::remove_all(dir, ec);
+    }
+};
+
+LivePrivateDirs &
+livePrivateDirs()
+{
+    static LivePrivateDirs live;
+    return live;
 }
 
 } // namespace
@@ -160,6 +185,72 @@ planCampaign(const CampaignSpec &spec, const report::ResultCache &cache)
     return plan;
 }
 
+std::vector<std::vector<std::size_t>>
+prewarmGroups(const CampaignPlan &plan)
+{
+    std::vector<std::vector<std::size_t>> groups;
+    std::map<std::uint64_t, std::size_t> slot;
+    for (const std::size_t lead : plan.leads) {
+        const CampaignCell &cell = plan.outcome.cells[lead];
+        const SimConfig &cfg = cell.config;
+        if (cfg.sampled || cfg.prewarmInsts == 0) {
+            groups.push_back({lead});
+            continue;
+        }
+        const auto [it, fresh] = slot.emplace(
+            CheckpointCodec::fileKey(cfg, cell.programs, cfg.prewarmInsts),
+            groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(lead);
+    }
+    return groups;
+}
+
+PrewarmShare::PrewarmShare(const std::string &cacheDir)
+    : cacheCkptDir_(checkpointDirFor(cacheDir))
+{
+}
+
+PrewarmShare::~PrewarmShare()
+{
+    if (privateDir_.empty())
+        return;
+    std::error_code ec;
+    std::filesystem::remove_all(privateDir_, ec);
+    LivePrivateDirs &live = livePrivateDirs();
+    std::lock_guard<std::mutex> lock(live.m);
+    live.dirs.erase(privateDir_);
+}
+
+std::string
+PrewarmShare::dirFor(std::size_t cells)
+{
+    if (!cacheCkptDir_.empty())
+        return cacheCkptDir_;
+    if (cells < 2)
+        return {};
+    std::lock_guard<std::mutex> lock(m_);
+    if (privateDir_.empty() && !createFailed_) {
+        std::error_code ec;
+        std::string path =
+            (std::filesystem::temp_directory_path(ec) /
+             "ratsim-prewarm-XXXXXX")
+                .string();
+        if (ec || !::mkdtemp(path.data())) {
+            warn("cannot create a private checkpoint directory under "
+                 "TMPDIR; cells walk their prewarm unshared");
+            createFailed_ = true;
+            return {};
+        }
+        LivePrivateDirs &live = livePrivateDirs();
+        std::lock_guard<std::mutex> liveLock(live.m);
+        live.dirs.insert(path);
+        privateDir_ = std::move(path);
+    }
+    return privateDir_;
+}
+
 void
 fanOutDuplicates(
     CampaignOutcome &outcome,
@@ -179,26 +270,38 @@ runCampaign(const CampaignSpec &spec)
     CampaignPlan plan = planCampaign(spec, cache);
     CampaignOutcome &outcome = plan.outcome;
 
-    // Simulate the unique misses on the worker pool. Each job owns a
-    // distinct lead cell, so no locking is needed; the completion
-    // counters are atomics because jobs finish concurrently.
+    // Simulate the unique misses on the worker pool, dealt round-robin
+    // across prewarm groups: the first cells of distinct groups walk in
+    // parallel, and a group's later cells come after its walk and
+    // restore its checkpoint. Each job owns a distinct lead cell, so no
+    // locking is needed; the counters are atomics because jobs finish
+    // concurrently.
     std::atomic<std::uint64_t> completed{0};
     std::atomic<std::uint64_t> failedStores{0};
-    const std::string ckptDir = checkpointDirFor(spec.cacheDir);
+    std::atomic<std::uint64_t> walks{0};
+    PrewarmShare share(spec.cacheDir);
+    const auto groups = prewarmGroups(plan);
     std::vector<std::function<void()>> jobs;
     jobs.reserve(plan.leads.size());
-    for (const std::size_t lead : plan.leads) {
-        jobs.emplace_back([&outcome, &cache, &completed, &failedStores,
-                           &ckptDir, lead] {
-            CampaignCell &cell = outcome.cells[lead];
-            cell.result =
-                simulateCell(cell.config, cell.programs, ckptDir);
-            // Count completion only after the simulation finished: a
-            // throwing cell must not inflate the simulated count.
-            completed.fetch_add(1);
-            if (cache.enabled() && !cache.store(cell.key, cell.result))
-                failedStores.fetch_add(1);
-        });
+    for (std::size_t round = 0; jobs.size() < plan.leads.size(); ++round) {
+        for (const std::vector<std::size_t> &group : groups) {
+            if (round >= group.size())
+                continue;
+            jobs.emplace_back([&, lead = group[round],
+                               cells = group.size()] {
+                CampaignCell &cell = outcome.cells[lead];
+                bool walked = false;
+                cell.result = simulateCell(cell.config, cell.programs,
+                                           share.dirFor(cells), &walked);
+                // Count completion only after the simulation finished:
+                // a throwing cell must not inflate the simulated count.
+                completed.fetch_add(1);
+                walks.fetch_add(walked ? 1 : 0);
+                if (cache.enabled() &&
+                    !cache.store(cell.key, cell.result))
+                    failedStores.fetch_add(1);
+            });
+        }
     }
     unsigned workers = spec.parallelism;
     if (!workers) {
@@ -208,6 +311,7 @@ runCampaign(const CampaignSpec &spec)
     runParallel(jobs, workers);
     outcome.simulated = completed.load();
     outcome.failedStores = failedStores.load();
+    outcome.prewarmWalks = walks.load();
 
     fanOutDuplicates(outcome, plan.pending);
     return outcome;
@@ -222,6 +326,7 @@ mergeSampledOutcome(const CampaignOutcome &outcome)
     merged.simulated = outcome.simulated;
     merged.failedStores = outcome.failedStores;
     merged.cacheQuarantined = outcome.cacheQuarantined;
+    merged.prewarmWalks = outcome.prewarmWalks;
 
     // Per-sample cells of one workload coordinate are consecutive
     // (innermost implicit axis), so one forward scan groups them.

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,10 @@ struct CampaignOutcome {
     /** Damaged cache cells quarantined to *.bad while probing; each
      * cost this run exactly one re-simulation. */
     std::uint64_t cacheQuarantined = 0;
+    /** Functional prewarm walks this run replayed: exact cells that
+     * walked their prewarm instead of restoring a shared checkpoint
+     * (simulateCell's `walked`). */
+    std::uint64_t prewarmWalks = 0;
 };
 
 /**
@@ -129,6 +134,47 @@ CampaignPlan planCampaign(const CampaignSpec &spec,
                           const report::ResultCache &cache);
 
 /**
+ * The plan's pending lead cells grouped by prewarm identity
+ * (CheckpointCodec::fileKey at the cell's prewarm position): the cells
+ * of one group can share one functional walk. Groups, and the leads
+ * within each, follow their first appearance in `plan.leads`. Cells
+ * with nothing to share — sampled cells (their own registry shares
+ * per sample) and cells without a prewarm — are groups of one.
+ */
+std::vector<std::vector<std::size_t>> prewarmGroups(const CampaignPlan &plan);
+
+/**
+ * Where one run's exact cells share their functional prewarm. With a
+ * result cache it is the cache's `ckpt/` directory, kept across runs.
+ * Without one it is a private temporary directory (under TMPDIR),
+ * created at the first walk that has a cell to share with and removed
+ * when this object goes — on exceptions too, and at exit() for a run
+ * ended by fatal(). Thread-safe.
+ */
+class PrewarmShare
+{
+  public:
+    explicit PrewarmShare(const std::string &cacheDir);
+    ~PrewarmShare();
+    PrewarmShare(const PrewarmShare &) = delete;
+    PrewarmShare &operator=(const PrewarmShare &) = delete;
+
+    /**
+     * Checkpoint directory for a cell of a prewarm group with @p cells
+     * pending cells: the cache's always; without a cache the private
+     * one when @p cells >= 2, else "" — a lone cell walks unshared and
+     * writes no checkpoint.
+     */
+    std::string dirFor(std::size_t cells);
+
+  private:
+    std::string cacheCkptDir_;
+    std::string privateDir_; ///< "" until created
+    bool createFailed_ = false;
+    std::mutex m_;
+};
+
+/**
  * Copy every pending lead cell's result to its duplicate cells (cells
  * that share the lead's cache key).
  */
@@ -138,8 +184,9 @@ void fanOutDuplicates(CampaignOutcome &outcome,
 
 /**
  * Expand and run a campaign: probe the result cache, simulate the
- * misses on the worker pool (duplicate cells simulate once), store new
- * cells back, and return everything in grid order.
+ * misses on the worker pool (duplicate cells simulate once, and each
+ * prewarm group walks once through a PrewarmShare), store new cells
+ * back, and return everything in grid order.
  */
 CampaignOutcome runCampaign(const CampaignSpec &spec);
 

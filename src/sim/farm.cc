@@ -34,14 +34,17 @@ namespace {
  * attempt number (how many workers already died holding this cell)
  * rides along so the worker's fault-injection draws are independent
  * per retry — a cell that drew "kill" on attempt 0 redraws on attempt
- * 1 instead of dying identically forever. */
+ * 1 instead of dying identically forever. `ckptDir` is where the cell
+ * shares its prewarm ("" = walk unshared; see PrewarmShare). */
 std::string
-jobFrame(const CampaignCell &cell, std::size_t index, unsigned attempt)
+jobFrame(const CampaignCell &cell, std::size_t index, unsigned attempt,
+         const std::string &ckptDir)
 {
     report::Json job = report::Json::object();
     job["index"] = report::Json(static_cast<std::uint64_t>(index));
     job["attempt"] = report::Json(std::uint64_t{attempt});
     job["key"] = report::Json(cell.key);
+    job["ckptDir"] = report::Json(ckptDir);
     job["config"] = report::toJson(cell.config);
     report::Json progs = report::Json::array();
     for (const std::string &p : cell.programs)
@@ -157,7 +160,7 @@ struct WorkerProc {
     int resFd = -1; ///< coordinator reads result frames here (nonblock)
     report::FrameBuffer buf;
     std::optional<std::size_t> inflight; ///< lead cell index
-    std::size_t shard = 0;               ///< shard currently drained
+    std::optional<std::size_t> group;    ///< prewarm group this slot owns
     unsigned slot = 0;                   ///< stable slot id
     unsigned respawnCount = 0; ///< processes this slot has consumed - 1
     bool alive = false;
@@ -170,13 +173,24 @@ struct WorkerProc {
     std::chrono::steady_clock::time_point lastActivity{};
 };
 
+/** One prewarm group's jobs as the coordinator deals them out. */
+struct PrewarmGroup {
+    std::deque<std::size_t> jobs; ///< lead cells not yet handed out
+    std::size_t cells = 0;        ///< pending cells in the group
+    unsigned inflight = 0;        ///< jobs handed out, not yet answered
+    bool landed = false;          ///< a job of the group has completed
+};
+
 struct Coordinator {
     const CampaignSpec &spec;
     const FarmOptions &options;
     CampaignOutcome &outcome;
     const report::ResultCache &cache;
+    PrewarmShare &share;
 
-    std::vector<std::deque<std::size_t>> shards = {};
+    /** The shards: one per prewarm group (prewarmGroups order). */
+    std::vector<PrewarmGroup> groups = {};
+    std::vector<std::size_t> groupOf = {}; ///< lead cell -> its group
     std::vector<WorkerProc> workers = {};
     FarmOutcome *farm = nullptr;
     std::string binary = {}; ///< worker exec target (for respawns)
@@ -185,6 +199,7 @@ struct Coordinator {
     std::uint64_t jobsTotal = 0;
     std::uint64_t simulated = 0;
     std::uint64_t failedStores = 0;
+    std::uint64_t walks = 0; ///< sum of the result frames' `walked`
 
     /** Worker deaths per lead cell — the retry budget's ledger and
      * the attempt number sent with each job. */
@@ -195,6 +210,7 @@ struct Coordinator {
     std::uint64_t respawnsSinceProgress = 0;
 
     bool spawnWorker(unsigned slot, std::uint64_t kill_after);
+    std::optional<std::size_t> pickGroup(WorkerProc &w);
     bool feedWorker(std::size_t w);
     void drainWorker(std::size_t w);
     void handleFrame(std::size_t w, const std::string &payload);
@@ -282,14 +298,14 @@ Coordinator::spawnWorker(unsigned slot, std::uint64_t kill_after)
     ::fcntl(res_pipe[0], F_SETFD, FD_CLOEXEC);
 
     // Fill the slot in place (the vector is pre-sized to the worker
-    // count): a respawned process inherits the slot's shard and
+    // count): a respawned process inherits the slot's group and
     // respawn counter but starts with a fresh frame buffer and a
     // clean inflight state.
     WorkerProc w;
     w.pid = pid;
     w.jobFd = job_pipe[1];
     w.resFd = res_pipe[0];
-    w.shard = workers[slot].shard;
+    w.group = workers[slot].group;
     w.slot = slot;
     w.respawnCount = workers[slot].respawnCount;
     w.alive = true;
@@ -299,59 +315,73 @@ Coordinator::spawnWorker(unsigned slot, std::uint64_t kill_after)
     return true;
 }
 
+/**
+ * The group an idle worker draws its next job from: its own group
+ * while jobs remain; else an unstarted group, taken whole (the worker
+ * becomes its owner); else a steal from the group with the most jobs
+ * left whose walk has landed. A group whose walk is in flight — a job
+ * handed out and none answered yet — is never drawn from, so no two
+ * workers walk one prewarm. nullopt: nothing to hand out right now.
+ */
+std::optional<std::size_t>
+Coordinator::pickGroup(WorkerProc &w)
+{
+    if (w.group) {
+        const PrewarmGroup &own = groups[*w.group];
+        if (!own.jobs.empty() && (own.landed || own.inflight == 0))
+            return w.group;
+    }
+    // An unlanded group with nothing in flight is unstarted, or its
+    // walker died and the job was requeued.
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        const PrewarmGroup &g = groups[gi];
+        if (!g.jobs.empty() && !g.landed && g.inflight == 0) {
+            w.group = gi;
+            return gi;
+        }
+    }
+    std::optional<std::size_t> steal;
+    std::size_t most = 0;
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        const PrewarmGroup &g = groups[gi];
+        if (g.landed && g.jobs.size() > most) {
+            most = g.jobs.size();
+            steal = gi;
+        }
+    }
+    if (steal)
+        ++farm->jobsStolen;
+    return steal;
+}
+
 bool
 Coordinator::feedWorker(std::size_t wi)
 {
     WorkerProc &w = workers[wi];
     if (!w.alive || !w.writable || w.inflight)
         return false;
+    const std::optional<std::size_t> pick = pickGroup(w);
+    if (!pick)
+        return false;
 
-    // Drain the worker's own shards first (round-robin ownership),
-    // then steal from the largest remaining shard so stragglers drain
-    // onto idle workers.
-    const std::size_t nshards = shards.size();
-    const std::size_t nworkers = workers.size();
-    std::size_t pick = nshards;
-    if (!shards[w.shard].empty()) {
-        pick = w.shard;
-    } else {
-        for (std::size_t s = wi; s < nshards; s += nworkers) {
-            if (!shards[s].empty()) {
-                pick = s;
-                break;
-            }
-        }
-        if (pick == nshards) {
-            std::size_t best_size = 0;
-            for (std::size_t s = 0; s < nshards; ++s) {
-                if (shards[s].size() > best_size) {
-                    best_size = shards[s].size();
-                    pick = s;
-                }
-            }
-            if (pick < nshards)
-                ++farm->jobsStolen;
-        }
-    }
-    if (pick >= nshards)
-        return false; // no work left anywhere
-
-    const std::size_t lead = shards[pick].front();
-    shards[pick].pop_front();
-    w.shard = pick;
+    PrewarmGroup &group = groups[*pick];
+    const std::size_t lead = group.jobs.front();
+    group.jobs.pop_front();
 
     const auto attempt_it = attempts.find(lead);
     const unsigned attempt =
         attempt_it == attempts.end() ? 0 : attempt_it->second;
-    if (!report::writeFrame(
-            w.jobFd, jobFrame(outcome.cells[lead], lead, attempt))) {
+    if (!report::writeFrame(w.jobFd,
+                            jobFrame(outcome.cells[lead], lead, attempt,
+                                     share.dirFor(group.cells)))) {
         // Peer is dead (EPIPE): put the job back; the EOF on the read
         // side will finish the bookkeeping.
-        shards[pick].push_front(lead);
+        group.jobs.push_front(lead);
         w.writable = false;
         return false;
     }
     w.inflight = lead;
+    ++group.inflight;
     // The watchdog clock starts at job handoff: a worker that never
     // even heartbeats is just as wedged as one that stops mid-cell.
     w.lastActivity = std::chrono::steady_clock::now();
@@ -391,8 +421,13 @@ Coordinator::handleFrame(std::size_t wi, const std::string &payload)
         warn("farm: result index %zu out of range", lead);
         return;
     }
-    if (w.inflight && *w.inflight == lead)
+    PrewarmGroup &group = groups[groupOf[lead]];
+    if (w.inflight && *w.inflight == lead) {
         w.inflight.reset();
+        --group.inflight;
+    }
+    // Answered: whatever this job walked is on disk for the group.
+    group.landed = true;
 
     if (const report::Json *err = doc->find("error")) {
         ++farm->failedCells;
@@ -412,6 +447,9 @@ Coordinator::handleFrame(std::size_t wi, const std::string &payload)
     }
     outcome.cells[lead].result = std::move(result);
     ++simulated;
+    const report::Json *walked = doc->find("walked");
+    if (walked && walked->isBool() && walked->asBool())
+        ++walks;
     const report::Json *stored = doc->find("stored");
     if (cache.enabled() && (!stored || !stored->isBool() ||
                             !stored->asBool()))
@@ -525,6 +563,8 @@ Coordinator::workerGone(std::size_t wi)
         // cannot murder the rest of the pool.
         const std::size_t lead = *w.inflight;
         w.inflight.reset();
+        PrewarmGroup &group = groups[groupOf[lead]];
+        --group.inflight;
         ++farm->workerDeaths;
         const unsigned attempt = ++attempts[lead];
         if (attempt > options.maxRetries) {
@@ -533,7 +573,7 @@ Coordinator::workerGone(std::size_t wi)
                  outcome.cells[lead].key.c_str(), attempt);
             noteJobDone();
         } else {
-            shards[w.shard].push_front(lead);
+            group.jobs.push_front(lead);
             ++farm->jobsRequeued;
         }
     } else if (abnormal) {
@@ -551,8 +591,8 @@ Coordinator::workerGone(std::size_t wi)
 bool
 Coordinator::workAvailable() const
 {
-    for (const auto &shard : shards)
-        if (!shard.empty())
+    for (const PrewarmGroup &group : groups)
+        if (!group.jobs.empty())
             return true;
     for (const WorkerProc &w : workers)
         if (w.alive && w.inflight)
@@ -769,6 +809,7 @@ runFarm(const CampaignSpec &spec, const FarmOptions &options)
     FarmOutcome farm;
     const report::ResultCache cache(spec.cacheDir);
     CampaignPlan plan = planCampaign(spec, cache);
+    const auto groups = prewarmGroups(plan);
     farm.campaign = std::move(plan.outcome);
 
     const std::vector<std::size_t> &jobs = plan.leads;
@@ -795,11 +836,6 @@ runFarm(const CampaignSpec &spec, const FarmOptions &options)
     nworkers = std::min<unsigned>(
         nworkers, static_cast<unsigned>(jobs.size()));
 
-    unsigned nshards = options.shards ? options.shards : nworkers * 4;
-    nshards = std::min<unsigned>(
-        std::max<unsigned>(nshards, 1),
-        static_cast<unsigned>(jobs.size()));
-
     // Arm the fault injector in the coordinator too: only the spawn
     // path ever sets a context here, so the sole coordinator-side
     // fault is SpawnFail — workers arm independently after exec.
@@ -808,16 +844,24 @@ runFarm(const CampaignSpec &spec, const FarmOptions &options)
     IgnoreSigpipe sigpipe_guard;
     InterruptGuard interrupt_guard;
     ProgressLineGuard progress_guard(options.progress);
-    Coordinator coord{spec, options, farm.campaign, cache};
+    // Declared before the coordinator so a private checkpoint
+    // directory outlives every worker that writes into it.
+    PrewarmShare share(spec.cacheDir);
+    Coordinator coord{spec, options, farm.campaign, cache, share};
     coord.farm = &farm;
     coord.binary = binary;
     coord.jobsTotal = jobs.size();
 
-    // Contiguous shards over the deduped job list (grid order).
-    coord.shards.assign(nshards, {});
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        coord.shards[i * nshards / jobs.size()].push_back(jobs[i]);
-    farm.shardCount = nshards;
+    // One shard per prewarm group: its cells walk the prewarm once.
+    coord.groupOf.assign(farm.campaign.cells.size(), 0);
+    for (const std::vector<std::size_t> &leads : groups) {
+        PrewarmGroup &group = coord.groups.emplace_back();
+        group.jobs.assign(leads.begin(), leads.end());
+        group.cells = leads.size();
+        for (const std::size_t lead : leads)
+            coord.groupOf[lead] = coord.groups.size() - 1;
+    }
+    farm.shardCount = static_cast<unsigned>(coord.groups.size());
 
     // Test hook: deterministically SIGKILL the first worker after N
     // cells, standing in for an operator's kill -9 mid-campaign.
@@ -829,10 +873,8 @@ runFarm(const CampaignSpec &spec, const FarmOptions &options)
     // even when some initial spawns fail; failed slots become respawn
     // candidates instead of silently shrinking the pool.
     coord.workers.resize(nworkers);
-    for (unsigned w = 0; w < nworkers; ++w) {
+    for (unsigned w = 0; w < nworkers; ++w)
         coord.workers[w].slot = w;
-        coord.workers[w].shard = w % nshards;
-    }
     unsigned spawned = 0;
     for (unsigned w = 0; w < nworkers; ++w) {
         if (coord.spawnWorker(w, w == 0 ? kill_after : 0)) {
@@ -947,6 +989,7 @@ runFarm(const CampaignSpec &spec, const FarmOptions &options)
 
     farm.campaign.simulated = coord.simulated;
     farm.campaign.failedStores = coord.failedStores;
+    farm.campaign.prewarmWalks = coord.walks;
     farm.completed = coord.jobsDone >= coord.jobsTotal &&
                      farm.failedCells == 0 &&
                      farm.quarantinedCells.empty();
@@ -1018,6 +1061,10 @@ farmWorkerMain(const std::string &cache_dir, unsigned worker_id,
             warn("farm worker: job frame missing fields");
             return 1;
         }
+        const report::Json *ckpt_json = doc->find("ckptDir");
+        const std::string ckpt_dir = ckpt_json && ckpt_json->isString()
+                                         ? ckpt_json->asString()
+                                         : "";
         const report::Json *attempt_json = doc->find("attempt");
         const std::uint64_t attempt =
             attempt_json && attempt_json->isU64() ? attempt_json->asU64()
@@ -1070,13 +1117,15 @@ farmWorkerMain(const std::string &cache_dir, unsigned worker_id,
         } else {
             try {
                 // Sampled and exact cells share checkpoints through
-                // the cache-adjacent directory (see simulateCell).
-                const SimResult result = simulateCell(
-                    config, programs, checkpointDirFor(cache_dir));
+                // the job's directory (see simulateCell).
+                bool walked = false;
+                const SimResult result =
+                    simulateCell(config, programs, ckpt_dir, &walked);
                 if (cache.enabled())
                     reply["stored"] = report::Json(
                         cache.store(key->asString(), result));
                 reply["result"] = report::toJson(result);
+                reply["walked"] = report::Json(walked);
             } catch (const std::exception &e) {
                 reply["error"] = report::Json(std::string(e.what()));
             }

@@ -10,10 +10,14 @@
  *    ResultCache; only missing cells become jobs (so a re-run after
  *    any crash — coordinator or worker, kill -9 included — resumes
  *    from whatever earlier runs already landed in the cache).
- *  - Jobs are partitioned into shards; every worker pulls jobs one at
- *    a time from its own shards and, once those drain, steals from the
- *    largest remaining shard, so straggler shards drain onto idle
- *    workers.
+ *  - Jobs are sharded by prewarm identity (prewarmGroups), one shard
+ *    per group. A worker pulls jobs one at a time from the group it
+ *    owns; once that drains it takes an unstarted group whole, and
+ *    only then steals from the largest group whose walk has landed. A
+ *    group with its walk in flight is never drawn from, so every
+ *    prewarm is walked once and the group's other cells restore its
+ *    checkpoint (the cache's `ckpt/`, or a private directory the
+ *    coordinator removes at the end when there is no cache).
  *  - Each worker simulates a cell, lands it in the shared cache with
  *    a crash-safe atomic store, and streams the result frame back.
  *  - A worker death mid-job is detected as EOF on its pipe: the
@@ -42,8 +46,6 @@ struct FarmOptions {
     /** Worker processes; 0 = hardware concurrency. Clamped to the
      * number of pending jobs. */
     unsigned workers = 0;
-    /** Job shards; 0 = auto (4x workers). Clamped to [1, jobs]. */
-    unsigned shards = 0;
     /**
      * Path of the binary to exec with `--farm-worker`. Empty = this
      * process's own executable (/proc/self/exe).
@@ -83,13 +85,14 @@ struct FarmOptions {
 struct FarmOutcome {
     CampaignOutcome campaign;
     unsigned workersSpawned = 0;
+    /** Shards the jobs were dealt in: one per prewarm group. */
     unsigned shardCount = 0;
     /** Workers that died before draining their work (EOF mid-shard,
      * abnormal exit, or exit on a signal). */
     std::uint64_t workerDeaths = 0;
     /** Jobs requeued from dead workers onto survivors. */
     std::uint64_t jobsRequeued = 0;
-    /** Jobs a worker pulled from another worker's shard. */
+    /** Jobs a worker pulled from a group another worker owns. */
     std::uint64_t jobsStolen = 0;
     /** Cells whose simulation failed inside a worker (reported as an
      * error frame; not retried). */
@@ -119,9 +122,11 @@ FarmOutcome runFarm(const CampaignSpec &spec, const FarmOptions &options);
 
 /**
  * Worker-process entry point (`ratsim --farm-worker`): reads job
- * frames from stdin, simulates each cell, stores it into @p cache_dir
- * (when non-empty) and writes a result frame per cell, preceded by a
- * typed progress frame that doubles as a liveness heartbeat. Log lines
+ * frames from stdin, simulates each cell (sharing its prewarm through
+ * the frame's `ckptDir`), stores it into @p cache_dir (when non-empty)
+ * and writes a result frame per cell — carrying whether the cell
+ * walked its prewarm — preceded by a typed progress frame that doubles
+ * as a liveness heartbeat. Log lines
  * carry a `[w<worker_id>]` prefix so interleaved worker stderr stays
  * attributable; verbosity follows the RATSIM_LOG_LEVEL environment
  * variable (inherited across the coordinator's fork/exec). Returns the

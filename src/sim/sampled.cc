@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 
 #include "common/fnv.hh"
 #include "common/logging.hh"
@@ -257,6 +259,46 @@ runOneSample(const SimConfig &cfg, const std::vector<std::string> &programs,
 }
 
 /**
+ * The process-wide walk-once guard: checkpoint paths whose functional
+ * walk is in flight in this process. A cell that finds its path here
+ * waits for the walker to publish the file instead of walking too.
+ */
+struct WalksInFlight {
+    std::mutex m;
+    std::condition_variable published;
+    std::set<std::string> paths;
+};
+
+WalksInFlight &
+walksInFlight()
+{
+    static WalksInFlight walks;
+    return walks;
+}
+
+/** One claimed walk: releasing it (also when the walk throws) wakes
+ * every cell waiting on the path. */
+class WalkClaim
+{
+  public:
+    explicit WalkClaim(std::string path) : path_(std::move(path)) {}
+    ~WalkClaim()
+    {
+        WalksInFlight &walks = walksInFlight();
+        {
+            std::lock_guard<std::mutex> lock(walks.m);
+            walks.paths.erase(path_);
+        }
+        walks.published.notify_all();
+    }
+    WalkClaim(const WalkClaim &) = delete;
+    WalkClaim &operator=(const WalkClaim &) = delete;
+
+  private:
+    std::string path_;
+};
+
+/**
  * One exact cell sharing its functional prewarm through @p ckptDir:
  * restore the workload's post-prewarm checkpoint when a valid one is
  * there; otherwise prewarm this cell's own simulator, persist the
@@ -265,12 +307,13 @@ runOneSample(const SimConfig &cfg, const std::vector<std::string> &programs,
  * that wrote the file, and a refused one falls back to the walk (which
  * overwrites the file) — so results are bit-identical to an unshared
  * run. Both directions stream through the file, so a ~1.6 MB blob
- * never sits in memory.
+ * never sits in memory. Sets @p walked when the prewarm was replayed.
  */
 SimResult
 runExactCell(const SimConfig &cfg, const std::vector<std::string> &programs,
-             const std::string &ckptDir)
+             const std::string &ckptDir, bool &walked)
 {
+    walked = cfg.prewarmInsts > 0;
     if (ckptDir.empty() || cfg.prewarmInsts == 0) {
         Simulator sim(cfg, programs);
         return sim.run();
@@ -282,14 +325,32 @@ runExactCell(const SimConfig &cfg, const std::vector<std::string> &programs,
         CheckpointCodec::fileKey(cfg, programs, cfg.prewarmInsts);
     const std::string path = checkpointPath(ckptDir, key);
 
+    // Wait out another thread's walk of this path; with no file to
+    // restore, claim the walk for this cell.
+    FilePtr in;
+    std::optional<WalkClaim> claim;
+    {
+        WalksInFlight &walks = walksInFlight();
+        std::unique_lock<std::mutex> lock(walks.m);
+        walks.published.wait(lock,
+                             [&] { return walks.paths.count(path) == 0; });
+        in.reset(std::fopen(path.c_str(), "rb"));
+        if (!in) {
+            walks.paths.insert(path);
+            claim.emplace(path);
+        }
+    }
+
     std::optional<Simulator> sim(std::in_place, resumed, programs);
-    if (FilePtr in{std::fopen(path.c_str(), "rb")}) {
+    if (in) {
         std::string error;
         const bool restored =
             CheckpointCodec::restore(*sim, in.get(), &error);
         in.reset();
-        if (restored)
+        if (restored) {
+            walked = false;
             return sim->run();
+        }
         warn("checkpoint %s refused (%s); falling back to a fresh "
              "functional walk",
              path.c_str(), error.c_str());
@@ -300,6 +361,7 @@ runExactCell(const SimConfig &cfg, const std::vector<std::string> &programs,
     writeCheckpointFile(ckptDir, key, [&sim](std::FILE *out) {
         return CheckpointCodec::encode(*sim, out);
     });
+    claim.reset(); // the file is published: waiting cells restore it
     return sim->run();
 }
 
@@ -553,10 +615,13 @@ mergeSampledResults(const SimConfig &cfg,
 
 SimResult
 simulateCell(const SimConfig &cfg, const std::vector<std::string> &programs,
-             const std::string &ckptDir)
+             const std::string &ckptDir, bool *walked)
 {
+    bool unreported = false;
+    bool &replayed = walked ? *walked : unreported;
+    replayed = false;
     if (!cfg.sampled)
-        return runExactCell(cfg, programs, ckptDir);
+        return runExactCell(cfg, programs, ckptDir, replayed);
 
     const trace::PhaseProfile &plan = samplePlanFor(cfg, programs);
     if (plan.samples.empty())

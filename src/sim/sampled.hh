@@ -56,8 +56,8 @@ samplePlanFor(const SimConfig &cfg, const std::vector<std::string> &programs);
 /**
  * Checkpoint directory derived from a result-cache directory
  * (`<cacheDir>/ckpt`; "" when caching is off — sampled checkpoints
- * then live only in process memory and exact cells walk their own
- * prewarm).
+ * then live only in process memory, and exact cells share through a
+ * private directory instead, see PrewarmShare).
  */
 std::string checkpointDirFor(const std::string &cacheDir);
 
@@ -81,13 +81,20 @@ bool writeCheckpointFile(const std::string &ckptDir, std::uint64_t key,
  * functional prewarm across cells: it restores the workload's
  * post-prewarm checkpoint, or walks the prewarm itself and persists
  * one (results are bit-identical either way); without a directory it
- * is a plain Simulator::run. Sampled mode runs one sample
- * (cfg.sampleIndex >= 0) or all samples merged into a whole-run
+ * is a plain Simulator::run. Within one process a prewarm identity is
+ * walked once per directory: a concurrent cell of the same identity
+ * waits for the walker's file and restores it. Sampled mode runs one
+ * sample (cfg.sampleIndex >= 0) or all samples merged into a whole-run
  * extrapolation (-1).
+ *
+ * @p walked, when given, is set to whether this exact cell replayed its
+ * functional prewarm (prewarmInsts > 0 and no checkpoint restored) —
+ * the one place prewarm walks are counted.
  */
 SimResult simulateCell(const SimConfig &cfg,
                        const std::vector<std::string> &programs,
-                       const std::string &ckptDir = "");
+                       const std::string &ckptDir = "",
+                       bool *walked = nullptr);
 
 /**
  * Merge per-sample results (each carrying its sample index and weight

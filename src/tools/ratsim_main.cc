@@ -157,9 +157,9 @@ usage()
         "                            reports collapse to merged rows)\n"
         "\n"
         "farm options (all sweep options, plus):\n"
-        "  --workers N               worker processes (default: hardware)\n"
-        "  --shards N                job shards (default: 4x workers);\n"
-        "                            idle workers steal straggler shards\n"
+        "  --workers N               worker processes (default: hardware);\n"
+        "                            one shard per prewarm (workload,\n"
+        "                            seed, register files), walked once\n"
         "                            (use --cache to make the campaign\n"
         "                            resumable after a crash or kill -9)\n"
         "  --progress                live progress line on stderr (cells\n"
@@ -778,8 +778,6 @@ sweepCommand(const std::vector<std::string> &args, bool farm_mode)
             spec.parallelism = parseUnsigned(next(), "--jobs");
         } else if (farm_mode && arg == "--workers") {
             farm_options.workers = parseUnsigned(next(), "--workers");
-        } else if (farm_mode && arg == "--shards") {
-            farm_options.shards = parseUnsigned(next(), "--shards");
         } else if (arg == "--json") {
             json_path = next();
         } else if (arg == "--csv") {
@@ -868,12 +866,14 @@ sweepCommand(const std::vector<std::string> &args, bool farm_mode)
         const sim::FarmOutcome farm = sim::runFarm(spec, farm_options);
         outcome = std::move(farm.campaign);
         std::printf("farm: %zu cells (%llu simulated, %llu from cache, "
-                    "%llu failed stores)\n",
+                    "%llu failed stores), %llu prewarm walks\n",
                     outcome.cells.size(),
                     static_cast<unsigned long long>(outcome.simulated),
                     static_cast<unsigned long long>(outcome.cacheHits),
                     static_cast<unsigned long long>(
-                        outcome.failedStores));
+                        outcome.failedStores),
+                    static_cast<unsigned long long>(
+                        outcome.prewarmWalks));
         std::printf("farm: %u workers, %u shards, %llu worker deaths, "
                     "%llu requeued, %llu stolen\n",
                     farm.workersSpawned, farm.shardCount,
@@ -908,12 +908,14 @@ sweepCommand(const std::vector<std::string> &args, bool farm_mode)
     } else {
         outcome = sim::runCampaign(spec);
         std::printf("sweep: %zu cells (%llu simulated, %llu from "
-                    "cache, %llu failed stores)\n",
+                    "cache, %llu failed stores), %llu prewarm walks\n",
                     outcome.cells.size(),
                     static_cast<unsigned long long>(outcome.simulated),
                     static_cast<unsigned long long>(outcome.cacheHits),
                     static_cast<unsigned long long>(
-                        outcome.failedStores));
+                        outcome.failedStores),
+                    static_cast<unsigned long long>(
+                        outcome.prewarmWalks));
     }
     // Sampled campaigns schedule one cell per representative sample;
     // reporting collapses them back into one extrapolated row per

@@ -16,8 +16,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -481,6 +483,128 @@ TEST(CheckpointSharing, CachedCampaignWalksOncePerWorkload)
     const CkptListing files = listCkptDir(dir.str());
     EXPECT_EQ(files.ckpts.size(), 1u);
     EXPECT_TRUE(files.tmps.empty());
+}
+
+/** Scoped TMPDIR: where PrewarmShare creates its private directory. */
+struct ScopedTmpdir {
+    explicit ScopedTmpdir(const TempDir &dir)
+    {
+        fs::create_directories(dir.path);
+        if (const char *old = std::getenv("TMPDIR"))
+            old_ = old;
+        setenv("TMPDIR", dir.str().c_str(), 1);
+    }
+    ~ScopedTmpdir()
+    {
+        if (old_)
+            setenv("TMPDIR", old_->c_str(), 1);
+        else
+            unsetenv("TMPDIR");
+    }
+
+  private:
+    std::optional<std::string> old_;
+};
+
+/** Three workloads x three policies on four threads, no cache. */
+CampaignSpec
+threeWorkloadSpec()
+{
+    CampaignSpec spec;
+    spec.base = sharingBase();
+    for (const core::PolicyKind kind :
+         {core::PolicyKind::Icount, core::PolicyKind::Dcra,
+          core::PolicyKind::Rat})
+        spec.techniques.push_back({policy::policyKindName(kind), kind, {}});
+    spec.workloads = {Workload::fromPrograms(kMix),
+                      Workload::fromPrograms({"swim", "twolf"}),
+                      Workload::fromPrograms({"gzip", "mcf"})};
+    spec.parallelism = 4;
+    return spec;
+}
+
+/** The report of @p outcome with every cell re-run alone, unshared. */
+std::string
+unsharedReportOf(CampaignOutcome outcome, const CampaignSpec &spec)
+{
+    for (CampaignCell &cell : outcome.cells) {
+        Simulator sim(cell.config, cell.programs);
+        cell.result = sim.run();
+    }
+    return campaignJson(outcome, spec).dump();
+}
+
+TEST(CheckpointSharing, ParallelRunWithoutACacheWalksOncePerWorkload)
+{
+    const TempDir tmp("ckpt_private_parallel");
+    const ScopedTmpdir scoped(tmp);
+    const CampaignSpec spec = threeWorkloadSpec();
+    const CampaignOutcome outcome = runCampaign(spec);
+    EXPECT_EQ(outcome.simulated, 9u);
+    EXPECT_EQ(outcome.prewarmWalks, 3u);
+    EXPECT_EQ(campaignJson(outcome, spec).dump(),
+              unsharedReportOf(outcome, spec));
+    // The private checkpoint directory went with the run.
+    EXPECT_TRUE(fs::is_empty(tmp.path));
+}
+
+TEST(CheckpointSharing, ConcurrentCellsOfOnePrewarmWalkOnce)
+{
+    // Four threads start four cells of one workload at once: the
+    // walk-once guard holds three of them until the first has
+    // published its checkpoint, then they restore it.
+    CampaignSpec spec = sharingSpec("");
+    spec.parallelism = 4;
+    const CampaignOutcome outcome = runCampaign(spec);
+    EXPECT_EQ(outcome.simulated, 9u);
+    EXPECT_EQ(outcome.prewarmWalks, 1u);
+    EXPECT_EQ(campaignJson(outcome, spec).dump(),
+              unsharedReportOf(outcome, spec));
+}
+
+TEST(CheckpointSharing, LoneCellOfAPrewarmGroupWritesNoCheckpoint)
+{
+    const TempDir tmp("ckpt_private_lone");
+    const ScopedTmpdir scoped(tmp);
+    {
+        PrewarmShare share("");
+        // A lone cell has no one to share with: no directory, no file.
+        EXPECT_EQ(share.dirFor(1), "");
+        EXPECT_TRUE(fs::is_empty(tmp.path));
+        // The first group of two creates the run's one private dir.
+        const std::string dir = share.dirFor(2);
+        ASSERT_FALSE(dir.empty());
+        EXPECT_TRUE(fs::is_directory(dir));
+        EXPECT_EQ(fs::path(dir).parent_path(), tmp.path);
+        EXPECT_EQ(share.dirFor(9), dir);
+    }
+    EXPECT_TRUE(fs::is_empty(tmp.path));
+
+    // A result cache keeps every checkpoint, lone cells' too.
+    PrewarmShare cached(tmp.str());
+    EXPECT_EQ(cached.dirFor(1), checkpointDirFor(tmp.str()));
+
+    // One technique: every prewarm group is a lone cell that walks.
+    CampaignSpec spec = threeWorkloadSpec();
+    spec.techniques.resize(1);
+    const CampaignOutcome outcome = runCampaign(spec);
+    EXPECT_EQ(outcome.prewarmWalks, 3u);
+    EXPECT_TRUE(fs::is_empty(tmp.path));
+}
+
+TEST(CheckpointSharing, FatalCellLeavesNoPrivateDirectory)
+{
+    // A cell of an unknown program ends the process with fatal() after
+    // its group has created the run's private directory; exit() never
+    // unwinds to the PrewarmShare, so the exit-time sweep removes it.
+    const TempDir tmp("ckpt_private_fatal");
+    const ScopedTmpdir scoped(tmp);
+    CampaignSpec spec = threeWorkloadSpec();
+    spec.workloads = {Workload::fromPrograms({"art", "nosuchprogram"})};
+    spec.parallelism = 1;
+    EXPECT_EXIT(runCampaign(spec), testing::ExitedWithCode(1),
+                "nosuchprogram");
+    EXPECT_TRUE(fs::is_empty(tmp.path));
 }
 
 TEST(CheckpointSharing, RegisterFileAxisSplitsTheCheckpoint)

@@ -63,11 +63,10 @@ smallSpec(const std::string &cache_dir)
 }
 
 FarmOptions
-farmOptions(unsigned workers, unsigned shards = 0)
+farmOptions(unsigned workers)
 {
     FarmOptions opt;
     opt.workers = workers;
-    opt.shards = shards;
     opt.workerBinary = RATSIM_CLI_PATH;
     return opt;
 }
@@ -208,14 +207,75 @@ TEST(Farm, WorksWithoutACacheDirectory)
 {
     // No cache: results only travel the wire. Still byte-identical.
     const CampaignSpec spec = smallSpec("");
-    const FarmOutcome farm = runFarm(spec, farmOptions(2, 3));
+    const FarmOutcome farm = runFarm(spec, farmOptions(2));
     ASSERT_TRUE(farm.completed) << farm.error;
-    EXPECT_EQ(farm.shardCount, 3u);
+    EXPECT_EQ(farm.shardCount, 3u); // one per seed's prewarm
     EXPECT_EQ(farm.campaign.simulated, 6u);
+    EXPECT_EQ(farm.campaign.prewarmWalks, 3u);
     EXPECT_EQ(farm.campaign.failedStores, 0u);
 
     const CampaignOutcome sweep = runCampaign(spec);
     EXPECT_EQ(reportJson(farm.campaign, spec), reportJson(sweep, spec));
+}
+
+/** Three workloads x three policies, one seed: three prewarms. */
+CampaignSpec
+threeWorkloadSpec(const std::string &cache_dir)
+{
+    CampaignSpec spec = smallSpec(cache_dir);
+    spec.techniques = {icountSpec(), {"DCRA", core::PolicyKind::Dcra, {}},
+                       ratSpec()};
+    spec.workloads = {Workload::fromPrograms({"art", "mcf"}),
+                      Workload::fromPrograms({"swim", "twolf"}),
+                      Workload::fromPrograms({"gzip", "mcf"})};
+    spec.seedAxis = {1};
+    return spec;
+}
+
+TEST(Farm, ColdFarmWalksOncePerWorkloadAndWarmRerunNone)
+{
+    // Two workers, three shards of three cells: a group's cells are
+    // never handed out while its first cell walks, so no prewarm is
+    // walked twice.
+    TempCacheDir cache("farm_walks");
+    const CampaignSpec spec = threeWorkloadSpec(cache.path.string());
+    const FarmOutcome cold = runFarm(spec, farmOptions(2));
+    ASSERT_TRUE(cold.completed) << cold.error;
+    EXPECT_EQ(cold.shardCount, 3u);
+    EXPECT_EQ(cold.campaign.simulated, 9u);
+    EXPECT_EQ(cold.campaign.prewarmWalks, 3u);
+
+    const FarmOutcome warm = runFarm(spec, farmOptions(2));
+    ASSERT_TRUE(warm.completed) << warm.error;
+    EXPECT_EQ(warm.campaign.simulated, 0u);
+    EXPECT_EQ(warm.campaign.prewarmWalks, 0u);
+    EXPECT_EQ(reportJson(warm.campaign, spec),
+              reportJson(cold.campaign, spec));
+}
+
+TEST(Farm, WithoutACacheSharesThroughAPrivateDirectoryItRemoves)
+{
+    TempCacheDir tmp("farm_private_tmp");
+    std::filesystem::create_directories(tmp.path);
+    const char *old = std::getenv("TMPDIR");
+    const std::string saved = old ? old : "";
+    setenv("TMPDIR", tmp.path.c_str(), 1);
+
+    const CampaignSpec spec = threeWorkloadSpec("");
+    const FarmOutcome farm = runFarm(spec, farmOptions(2));
+    const bool leftEmpty = std::filesystem::is_empty(tmp.path);
+    if (old)
+        setenv("TMPDIR", saved.c_str(), 1);
+    else
+        unsetenv("TMPDIR");
+
+    ASSERT_TRUE(farm.completed) << farm.error;
+    EXPECT_EQ(farm.campaign.prewarmWalks, 3u);
+    EXPECT_TRUE(leftEmpty);
+    CampaignSpec serial = spec;
+    serial.parallelism = 1;
+    EXPECT_EQ(reportJson(farm.campaign, spec),
+              reportJson(runCampaign(serial), serial));
 }
 
 TEST(Farm, DuplicateCellsSimulateOnceAcrossProcesses)
